@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import CycleClass, Monomial, RingParams, TautRing, relabel
+from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, relabel
 
 
 def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> CycleClass:
@@ -35,8 +35,7 @@ def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> Cycle
         ring._check_index(t)
     keep = [i for i in range(1, m + 1) if i not in forget]
     mapping = {i: n + 1 for n, i in enumerate(keep)}
-    target = ring.with_m(max(len(keep), 1))
-    out = target.zero()
+    out: dict[Monomial, Fraction] = {}
     for mon, c in a.terms.items():
         o_set = set(mon.o)
         h_map = dict(mon.h)
@@ -56,8 +55,8 @@ def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> Cycle
             o=tuple(sorted(mapping[i] for i in o_set if i not in forget)),
             tau=tuple(sorted(tuple(sorted((mapping[i], mapping[j]))) for i, j in mon.tau)),
         )
-        out = out + CycleClass({surv: c})
-    return out
+        accumulate(out, surv, c)
+    return CycleClass(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +159,11 @@ class ProjectorSet:
         return self.pi[0].params
 
     def diagonal(self) -> CycleClass:
-        total = TautRing(self.params).zero()
+        total: dict[Monomial, Fraction] = {}
         for f in self.pi:
-            total = total + f.cls
-        return total
+            for mon, c in f.cls.terms.items():
+                accumulate(total, mon, c)
+        return CycleClass(total)
 
 
 def ck_projectors(p: RingParams) -> ProjectorSet:
@@ -202,7 +202,8 @@ class CKReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """True iff at least one check ran and every check held."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
@@ -259,7 +260,8 @@ class MCKReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
+        """True iff at least one entry was evaluated and every entry is ok."""
+        return bool(self.entries) and all(e.ok for e in self.entries)
 
     def entry(self, i: int, j: int, k: int) -> MCKEntry:
         return self.entries[49 * i + 7 * j + k]

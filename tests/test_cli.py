@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
+from chowtaut import cli
 from chowtaut.cli import main
+from chowtaut.correspond import CKReport, MCKReport
 
 
 def run(capsys, *argv):
@@ -111,12 +114,52 @@ def test_reduce_syntax_error(capsys):
     assert "error" in json.loads(err)
 
 
+def test_reduce_huge_power_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2",
+                       "h_1^99999999")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert out.strip() == "0"
+
+
+def test_oracle_compare_negative_codim_rejected(capsys):
+    code, out, err = run(capsys, "oracle-compare", "--b", "1", "--m", "2",
+                         "--max-codim", "-1")
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+def test_reports_with_zero_checks_do_not_pass():
+    assert CKReport(()).passed is False
+    assert MCKReport(()).passed is False
+
+
+def test_verify_with_zero_checks_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_ck", lambda ps: CKReport(()))
+    code, out, _ = run(capsys, "verify-ck", "--d", "2", "--b", "1")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    monkeypatch.setattr(cli, "verify_mck", lambda ps: MCKReport(()))
+    code, out, _ = run(capsys, "verify-mck", "--d", "2", "--b", "1")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
 def test_adjudicate(capsys):
     code, out, _ = run(capsys, "adjudicate", "--b", "1")
     assert code == 0
     rep = json.loads(out)
     assert rep["eps2"] == -1 and rep["eps3"] == 1
     assert rep["sym_relation_verified"] is True
+    assert rep["passed"] is True
+
+
+def test_adjudicate_negative_randomized_rejected(capsys):
+    code, _, err = run(capsys, "adjudicate", "--b", "1", "--randomized", "-1")
+    assert code == 2
+    assert "error" in json.loads(err)
 
 
 def test_adjudicate_randomized_stable(capsys):

@@ -100,6 +100,22 @@ class TestMultiply:
             assert r.multiply(a, b_) == r.multiply(b_, a)
             assert r.multiply(r.multiply(a, b_), c) == r.multiply(a, r.multiply(b_, c))
 
+    def test_power_matches_repeated_multiplication(self):
+        rng = random.Random(3)
+        r = ring(d=3, b=1, m=3)
+        for _ in range(40):
+            a = random_class(r, rng) + r.scalar(rng.randint(-2, 2))
+            naive = r.one()
+            for n in range(12):
+                assert r.power(a, n) == naive
+                naive = r.multiply(naive, a)
+
+    def test_power_past_top_codim_is_zero(self):
+        r = ring(m=2)
+        assert r.power(r.h(1), 99999999).is_zero()
+        assert r.power(r.zero(), 5).is_zero()
+        assert r.power(r.zero(), 0) == r.one()
+
     def test_grading_adds(self):
         rng = random.Random(11)
         r = ring(d=2, b=3, m=3)
@@ -268,6 +284,11 @@ class TestRelabel:
         assert up == r3.tau(2, 3)
         with pytest.raises(ValueError):
             relabel(r2.multiply(r2.o(1), r2.o(2)), {2: 1}, r2)
+
+    def test_merged_terms_cancel_exactly(self):
+        r = ring(m=2)
+        assert relabel(r.h(1) - r.h(2), {1: 2}, r).is_zero()
+        assert relabel(r.h(1) + r.h(2), {1: 2}, r) == r.h(2).scale(2)
 
 
 class TestCombinatorics:
