@@ -14,9 +14,8 @@ import random
 import sys
 
 from . import __version__
-from .cache import DimensionCache
 from .catalog import catalog_get, load_catalog, serialize_catalog
-from .correspond import ck_projectors, involution_expansion, verify_ck, verify_mck
+from .correspond import ck_projectors, involution_check, verify_ck, verify_mck
 from .exprparse import parse_expr
 from .oracle import CohomologyModel, SubalgebraSpan, adjudicate_signs
 from .ring import RingParams, TautRing
@@ -48,7 +47,7 @@ def _params_from_args(args) -> tuple[int, int, str | None]:
 
 
 def _sign_dict(p: RingParams) -> dict:
-    return {"eps2": p.eps2, "eps3": p.eps3, "eps4_mode": p.eps4_mode}
+    return {"eps2": p.eps2, "eps3": p.eps3}
 
 
 def cmd_list(args) -> int:
@@ -75,14 +74,15 @@ def cmd_get(args) -> int:
 def cmd_dims(args) -> int:
     p = _ring_params(args.d, args.b, args.m, args.signs)
     ring = TautRing(p)
-    cache = DimensionCache(args.cache_dir) if not args.no_cache else None
-    codims = [args.codim] if args.codim is not None else list(range(3 * p.m + 1))
-    dims = [cache.get_or_compute(ring, c) if cache else ring.graded_dimension(c)
-            for c in codims]
+    if args.codim is not None:
+        dim = ring.graded_dimension(args.codim)
+        print(json.dumps(dim) if args.json else f"codim {args.codim}: {dim}")
+        return 0
+    dims = ring.graded_dimensions()
     if args.json:
-        print(json.dumps(dims if args.codim is None else dims[0]))
+        print(json.dumps(dims))
     else:
-        for c, v in zip(codims, dims):
+        for c, v in enumerate(dims):
             print(f"codim {c}: {v}")
     return 0
 
@@ -108,7 +108,7 @@ def cmd_verify_mck(args) -> int:
     ps = ck_projectors(p)
     ck = verify_ck(ps)
     mck = verify_mck(ps)
-    involution_ok = involution_expansion(sign=-1, identify_triple=True).is_zero()
+    involution_ok = involution_check()
     passed = ck.passed and mck.passed and involution_ok
     cert = {
         "engine": ENGINE,
@@ -206,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--codim", type=int)
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--no-cache", action="store_true")
-    sp.add_argument("--cache-dir")
     add_signs(sp)
     sp.set_defaults(func=cmd_dims)
 

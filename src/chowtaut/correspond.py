@@ -283,9 +283,10 @@ def verify_mck(ps: ProjectorSet) -> MCKReport:
     dsm = small_diagonal(ring3)
     transposes = [f.transpose() for f in ps.pi]
     entries: list[MCKEntry] = []
-    for i, j, k in itertools.product(range(7), repeat=3):
-        legs = transposes[i].tensor(transposes[j]).tensor(ps.pi[k])
-        entries.append(MCKEntry(i, j, k, legs.apply(dsm)))
+    for i, j in itertools.product(range(7), repeat=2):
+        pair = transposes[i].tensor(transposes[j])
+        for k in range(7):
+            entries.append(MCKEntry(i, j, k, pair.tensor(ps.pi[k]).apply(dsm)))
     return MCKReport(tuple(entries))
 
 

@@ -108,9 +108,6 @@ class CohomologyModel:
     def degree(self, bid: int) -> int:
         return _EVEN_DEG[bid] if bid < 4 else 3
 
-    def basis_ids(self) -> list[int]:
-        return list(range(self.dim))
-
     def mul_basis(self, x: int, y: int) -> tuple[Fraction, int] | None:
         """Product of two basis elements as (coefficient, basis id), or None if zero."""
         if x == E0:

@@ -38,9 +38,7 @@ class RingParams:
 
     d is the degree (integral of h^3 over Y), b is half the dimension of
     the odd cohomology, m the power of Y.  eps2/eps3 are the signs in the
-    tau^2 and shared-index relations; eps4_mode selects the signed form of
-    the symmetrization relator ("plain-sum" is the adjudicated form,
-    "oracle" is an alias for it).
+    tau^2 and shared-index relations.
     """
 
     d: int
@@ -48,7 +46,6 @@ class RingParams:
     m: int
     eps2: int = -1
     eps3: int = 1
-    eps4_mode: str = "plain-sum"
 
     def __post_init__(self):
         if self.d < 1:
@@ -59,16 +56,11 @@ class RingParams:
             raise ValueError("m must be a positive integer")
         if self.eps2 not in (1, -1) or self.eps3 not in (1, -1):
             raise ValueError("eps2 and eps3 must be +1 or -1")
-        if self.eps4_mode not in ("plain-sum", "oracle"):
-            raise ValueError("eps4_mode must be 'plain-sum' or 'oracle'")
 
     @classmethod
     def paper_signs(cls, d: int, b: int, m: int) -> "RingParams":
         """Signs as literally printed in the source presentation (tau^2 = +2b o o)."""
         return cls(d, b, m, eps2=1, eps3=1)
-
-    def sign_tag(self) -> str:
-        return f"eps2={self.eps2:+d},eps3={self.eps3:+d},{self.eps4_mode}"
 
 
 @dataclass(frozen=True)
@@ -92,11 +84,6 @@ class Monomial:
     def key(self):
         """Canonical sort key: tau pairs, then o indices, then h exponents."""
         return (self.tau, self.o, self.h)
-
-    def max_index(self) -> int:
-        idx = [i for i, _ in self.h] + list(self.o)
-        idx += [j for p in self.tau for j in p]
-        return max(idx, default=0)
 
     def generators(self) -> list[Gen]:
         """Expand back into a raw generator list (h repeated per exponent)."""
@@ -613,7 +600,10 @@ def reduce_with_order(ring: TautRing, raw: Iterable[Gen], rng,
 
 
 def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleClass:
-    """Rename factor indices; mapping must be injective on the indices used."""
+    """Rename factor indices; mapping must be injective on each monomial's indices.
+
+    Different monomials may land on the same target (their terms merge).
+    """
     out: dict[Monomial, Fraction] = {}
     for mon, c in a.terms.items():
         h = tuple(sorted((mapping.get(i, i), e) for i, e in mon.h))
@@ -621,7 +611,7 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
         tau = tuple(sorted(_pair(mapping.get(i, i), mapping.get(j, j))
                            for i, j in mon.tau))
         idx = [i for i, _ in h] + list(o) + [x for pr in tau for x in pr]
-        if len(set(o)) != len(o) or len({x for pr in tau for x in pr}) != 2 * len(tau):
+        if len(set(idx)) != len(idx):
             raise ValueError("relabeling is not injective on the used indices")
         for i in idx:
             target._check_index(i)

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from chowtaut import cli
 from chowtaut.cli import main
 from chowtaut.correspond import CKReport, MCKReport
+from chowtaut.ring import RingParams, TautRing
 
 
 def run(capsys, *argv):
@@ -40,18 +42,28 @@ def test_get_unknown_label(capsys):
     assert "error" in json.loads(err)
 
 
-def test_dims_json(capsys, tmp_path):
-    code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "2",
-                       "--json", "--cache-dir", str(tmp_path))
+def test_dims_json(capsys):
+    code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "2", "--json")
     assert code == 0
     assert json.loads(out) == [1, 2, 3, 5, 3, 2, 1]
 
 
-def test_dims_single_codim_no_cache(capsys):
+def test_dims_single_codim(capsys):
     code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "2",
-                       "--codim", "3", "--json", "--no-cache")
+                       "--codim", "3", "--json")
     assert code == 0
     assert json.loads(out) == 5
+
+
+def test_dims_writes_no_files(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for name in [k for k in os.environ if k.startswith("CHOWTAUT_")]:
+        monkeypatch.delenv(name)
+    code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "3", "--json")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    assert json.loads(out) == TautRing(RingParams(2, 1, 3)).graded_dimensions()
 
 
 def test_verify_ck_by_label(capsys):
@@ -59,7 +71,7 @@ def test_verify_ck_by_label(capsys):
     assert code == 0
     cert = json.loads(out)
     assert cert["passed"] and cert["params"] == {"d": 3, "b": 5, "label": "2.3"}
-    assert cert["signs"] == {"eps2": -1, "eps3": 1, "eps4_mode": "plain-sum"}
+    assert cert["signs"] == {"eps2": -1, "eps3": 1}
 
 
 def test_verify_mck_by_params(capsys):

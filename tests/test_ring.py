@@ -284,6 +284,10 @@ class TestRelabel:
         assert up == r3.tau(2, 3)
         with pytest.raises(ValueError):
             relabel(r2.multiply(r2.o(1), r2.o(2)), {2: 1}, r2)
+        with pytest.raises(ValueError):
+            relabel(r2.multiply(r2.h(1), r2.h(2)), {1: 2}, r2)
+        with pytest.raises(ValueError):
+            relabel(r2.multiply(r2.h(1), r2.o(2)), {1: 2}, r2)
 
     def test_merged_terms_cancel_exactly(self):
         r = ring(m=2)
