@@ -21,42 +21,37 @@ from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, relabe
 def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> CycleClass:
     """Push a class on Y^m forward along the projection forgetting the given factors.
 
-    Per forgotten unmatched factor t the rules are o_t -> 1, h_t^k -> 0,
-    empty slot -> 0; a factor matched by some tau pair sends the whole
-    monomial to 0.  (The tau pushforward rule is the computation
-    (p_1)_* tau = (p_1)_* Delta - (1/d)(p_1)_*(h^0 x h^3) = 1 - 1 = 0;
-    it is validated against the tensor model in the test suite.)
-    The surviving factors are relabeled, order preserved, to 1..m-|forget|.
+    One rule: a monomial survives, with the same coefficient, exactly when
+    every forgotten factor carries o (the integral of o is 1); otherwise it
+    pushes to 0.  This is complete because a normal-form monomial puts no o
+    on an index that carries h or sits in a tau pair.  So a forgotten factor
+    without o holds h^k (k < 3, zero for degree reasons), a tau pair
+    ((p_1)_* tau = (p_1)_* Delta - (1/d)(p_1)_*(h^0 x h^3) = 1 - 1 = 0,
+    validated against the tensor model in the test suite) or nothing (zero
+    for degree reasons).  The kept factors are renumbered to 1..m-|forget|
+    by the increasing map, which keeps every index tuple sorted; distinct
+    survivors stay distinct, so no terms merge.
     """
     if not a.is_homogeneous():
         raise ValueError("pushforward requires a homogeneous class")
-    m = ring.p.m
     for t in forget:
         ring._check_index(t)
-    keep = [i for i in range(1, m + 1) if i not in forget]
+    keep = [i for i in range(1, ring.p.m + 1) if i not in forget]
     mapping = {i: n + 1 for n, i in enumerate(keep)}
-    out: dict[Monomial, Fraction] = {}
-    for mon, c in a.terms.items():
-        o_set = set(mon.o)
-        h_map = dict(mon.h)
-        dead = False
-        for t in forget:
-            if any(t in pair for pair in mon.tau):
-                dead = True  # matched tau slot pushes to 0
-                break
-            if t in o_set:
-                continue  # integral of o is 1
-            dead = True  # h power or empty slot: degree reasons
-            break
-        if dead:
-            continue
-        surv = Monomial(
-            h=tuple(sorted((mapping[i], e) for i, e in h_map.items())),
-            o=tuple(sorted(mapping[i] for i in o_set if i not in forget)),
-            tau=tuple(sorted(tuple(sorted((mapping[i], mapping[j]))) for i, j in mon.tau)),
-        )
-        accumulate(out, surv, c)
-    return CycleClass(out)
+    return CycleClass({
+        Monomial(h=tuple((mapping[i], e) for i, e in mon.h),
+                 o=tuple(mapping[i] for i in mon.o if i not in forget),
+                 tau=tuple((mapping[i], mapping[j]) for i, j in mon.tau)): c
+        for mon, c in a.terms.items() if forget.issubset(mon.o)
+    })
+
+
+def _check_lives_on(a: CycleClass, m: int, what: str) -> None:
+    """Raise ValueError unless every index a uses lies in 1..m."""
+    allowed = set(range(1, m + 1))
+    for mon in a.terms:
+        if not allowed.issuperset(mon.indices()):
+            raise ValueError(f"{what} must live on Y^{m}, but has the term {mon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +66,7 @@ class Correspondence:
     def __post_init__(self):
         if self.params.m != self.r + self.s:
             raise ValueError("correspondence class must live on Y^(r+s)")
+        _check_lives_on(self.cls, self.params.m, "correspondence class")
         if not self.cls.is_homogeneous():
             raise ValueError("correspondence class must be homogeneous")
 
@@ -93,9 +89,8 @@ class Correspondence:
             raise ValueError(f"arity mismatch: cannot compose {self.s} -> {g.r}")
         a, b, c = self.r, self.s, g.s
         big = TautRing(self.params).with_m(a + b + c)
-        f_cls = relabel(self.cls, {}, big)
         g_cls = relabel(g.cls, {i: a + i for i in range(1, b + c + 1)}, big)
-        prod = big.multiply(f_cls, g_cls)
+        prod = big.multiply(self.cls, g_cls)
         pushed = pushforward_forget(big, prod, set(range(a + 1, a + b + 1)))
         ring_ac = big.with_m(max(a + c, 1))
         return Correspondence(ring_ac.p, a, c, pushed)
@@ -111,11 +106,14 @@ class Correspondence:
         return Correspondence(big.p, r, s, cls)
 
     def apply(self, x: CycleClass) -> CycleClass:
-        """Action on a cycle class of Y^r: pull up, multiply, push to the target."""
-        big = TautRing(self.params).with_m(self.r + self.s)
-        pulled = relabel(x, {}, big)
-        prod = big.multiply(pulled, self.cls)
-        return pushforward_forget(big, prod, set(range(1, self.r + 1)))
+        """Action on a cycle class of Y^r: pull up, multiply, push to the target.
+
+        Y^r is the first r factors of Y^(r+s), so x is pulled up as it is.
+        """
+        _check_lives_on(x, self.r, "argument of apply")
+        ring = self.ring
+        prod = ring.multiply(x, self.cls)
+        return pushforward_forget(ring, prod, set(range(1, self.r + 1)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Correspondence) and self.r == other.r
@@ -317,12 +315,7 @@ class InvolutionWord:
         self.terms: dict[Symbol, Fraction] = {}
 
     def add(self, sym: Symbol, coeff: Fraction) -> None:
-        key = _canonical(sym, self.identify_triple)
-        s = self.terms.get(key, Fraction(0)) + coeff
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
+        accumulate(self.terms, _canonical(sym, self.identify_triple), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms

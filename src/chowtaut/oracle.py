@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import SparseRowBasis
-from .ring import RingParams, perfect_matchings
+from .ring import RingParams, accumulate, perfect_matchings
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -158,11 +158,7 @@ class TensorClass:
         self._check_compatible(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            accumulate(out, key, c)
         return TensorClass(self.model, self.m, out)
 
     def __sub__(self, other: "TensorClass") -> "TensorClass":
@@ -210,20 +206,11 @@ def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
                     sign_exp += suffix[j + 1]
                 prod = model.mul_basis(u[j], v[j])
                 if prod is None:
-                    coeff = Fraction(0)
                     break
                 coeff *= prod[0]
                 key.append(prod[1])
-            if not coeff:
-                continue
-            if sign_exp % 2:
-                coeff = -coeff
-            k = tuple(key)
-            s = out.get(k, Fraction(0)) + coeff
-            if s:
-                out[k] = s
             else:
-                del out[k]
+                accumulate(out, tuple(key), -coeff if sign_exp % 2 else coeff)
     return TensorClass(model, m, out)
 
 
@@ -289,7 +276,6 @@ class AdjudicationReport:
     b: int
     eps2: int
     eps3: int
-    sym_form: str
     sym_relation_verified: bool
     dims: tuple[tuple[int, int], ...]
 
@@ -298,7 +284,6 @@ class AdjudicationReport:
             "b": self.b,
             "eps2": self.eps2,
             "eps3": self.eps3,
-            "sym_form": self.sym_form,
             "sym_relation_verified": self.sym_relation_verified,
             "dims": [list(pair) for pair in self.dims],
         }
@@ -335,16 +320,17 @@ def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> Adjudica
         raise ValueError("tau_{1,2} tau_{1,3} is not proportional to tau_{2,3} o_1")
     # symmetrized vanishing on Y^(2b+2)
     n = 2 * model.b + 2
-    total = TensorClass(model, n)
+    total: dict[tuple[int, ...], Fraction] = {}
     for matching in perfect_matchings(list(range(1, n + 1))):
-        total = total + tensor_product_all(
-            [realize(("tau", i, j), model, n) for i, j in matching])
-    sym_ok = total.is_zero()
+        prod = tensor_product_all([realize(("tau", i, j), model, n) for i, j in matching])
+        for key, c in prod.terms.items():
+            accumulate(total, key, c)
+    sym_ok = not total
     dims: tuple[tuple[int, int], ...] = ()
     if with_dims:
         span = SubalgebraSpan(model, 2)
         dims = tuple((c, span.dimension(c)) for c in range(7))
-    return AdjudicationReport(model.b, eps2, eps3, "plain-sum", sym_ok, dims)
+    return AdjudicationReport(model.b, eps2, eps3, sym_ok, dims)
 
 
 # -- generated subalgebra ---------------------------------------------------

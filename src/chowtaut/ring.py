@@ -81,6 +81,10 @@ class Monomial:
     def codim(self) -> int:
         return sum(e for _, e in self.h) + 3 * len(self.o) + 3 * len(self.tau)
 
+    def indices(self) -> list[int]:
+        """Every factor index used, once per occurrence (h, then o, then tau)."""
+        return [i for i, _ in self.h] + list(self.o) + [x for pr in self.tau for x in pr]
+
     def key(self):
         """Canonical sort key: tau pairs, then o indices, then h exponents."""
         return (self.tau, self.o, self.h)
@@ -190,13 +194,17 @@ class CycleClass:
         return f"CycleClass({self})"
 
 
-def accumulate(out: dict[Monomial, Fraction], mon: Monomial, c: Fraction) -> None:
-    """Add c*mon into a term dict in place, dropping a coefficient that cancels."""
-    s = out.get(mon, 0) + c
+def accumulate(out: dict, key, c: Fraction) -> None:
+    """Add c*key into a sparse term dict in place, dropping a coefficient that cancels.
+
+    The one add-and-drop rule for every exact sum: cycle classes, tensor
+    classes and involution words all accumulate through it.
+    """
+    s = out.get(key, 0) + c
     if s:
-        out[mon] = s
+        out[key] = s
     else:
-        out.pop(mon, None)
+        out.pop(key, None)
 
 
 def _pair(i: int, j: int) -> tuple[int, int]:
@@ -337,14 +345,8 @@ class TautRing:
                     oc[i] = oc.get(i, 0) + 1
                 taus = list(m1.tau) + list(m2.tau)
                 factor, mon = self._reduce(hc, oc, taus)
-                c = c1 * c2 * factor
-                if mon is None or not c:
-                    continue
-                s = out.get(mon, Fraction(0)) + c
-                if s:
-                    out[mon] = s
-                else:
-                    del out[mon]
+                if mon is not None:
+                    accumulate(out, mon, c1 * c2 * factor)
         return CycleClass(out)
 
     def product(self, classes: Sequence[CycleClass]) -> CycleClass:
@@ -606,16 +608,18 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
     """
     out: dict[Monomial, Fraction] = {}
     for mon, c in a.terms.items():
-        h = tuple(sorted((mapping.get(i, i), e) for i, e in mon.h))
-        o = tuple(sorted(mapping.get(i, i) for i in mon.o))
-        tau = tuple(sorted(_pair(mapping.get(i, i), mapping.get(j, j))
-                           for i, j in mon.tau))
-        idx = [i for i, _ in h] + list(o) + [x for pr in tau for x in pr]
+        new = Monomial(
+            h=tuple(sorted((mapping.get(i, i), e) for i, e in mon.h)),
+            o=tuple(sorted(mapping.get(i, i) for i in mon.o)),
+            tau=tuple(sorted(_pair(mapping.get(i, i), mapping.get(j, j))
+                             for i, j in mon.tau)),
+        )
+        idx = new.indices()
         if len(set(idx)) != len(idx):
             raise ValueError("relabeling is not injective on the used indices")
         for i in idx:
             target._check_index(i)
-        accumulate(out, Monomial(h=h, o=o, tau=tau), c)
+        accumulate(out, new, c)
     return CycleClass(out)
 
 

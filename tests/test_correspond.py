@@ -49,11 +49,13 @@ class TestPushforward:
         r = TautRing(params(m=2))
         assert pushforward_forget(r, r.o(1), {2}).is_zero()
 
-    def test_matches_tensor_model(self):
-        # the hard-coded rules agree with honest slot integration in the model
+    @pytest.mark.parametrize("forget", [{3}, {1}, {2}, {1, 3}])
+    def test_matches_tensor_model(self, forget):
+        # the one-rule pushforward agrees with honest slot integration in the model
         rng = random.Random(9)
         r = TautRing(params(d=2, b=2, m=3))
         mod = CohomologyModel(2, 2)
+        kept = [t - 1 for t in range(1, 4) if t not in forget]
         for _ in range(30):
             raw = [( "tau", *rng.sample(range(1, 4), 2)) if rng.random() < 0.4
                    else (rng.choice(["h", "o"]), rng.randint(1, 3))
@@ -61,17 +63,18 @@ class TestPushforward:
             cls = r.normal_form(raw)
             if not cls.is_homogeneous() or cls.is_zero():
                 continue
-            pushed = pushforward_forget(r, cls, {3})
+            pushed = pushforward_forget(r, cls, forget)
             model_in = TensorClass(mod, 3)
             for mon, c in cls.terms.items():
                 model_in = model_in + realize_monomial(mon, mod, 3).scale(c)
-            model_out = TensorClass(mod, 2)
+            model_out = TensorClass(mod, len(kept))
             for key, c in model_in.terms.items():
-                if key[2] == 3:  # e6 in the forgotten slot integrates to 1
-                    model_out = model_out + TensorClass(mod, 2, {key[:2]: c})
-            expected = TensorClass(mod, 2)
+                if all(key[t - 1] == 3 for t in forget):  # e6 integrates to 1
+                    model_out = model_out + TensorClass(
+                        mod, len(kept), {tuple(key[s] for s in kept): c})
+            expected = TensorClass(mod, len(kept))
             for mon, c in pushed.terms.items():
-                expected = expected + realize_monomial(mon, mod, 2).scale(c)
+                expected = expected + realize_monomial(mon, mod, len(kept)).scale(c)
             assert model_out == expected
 
 
@@ -119,6 +122,23 @@ class TestCompose:
         ps = ck_projectors(params(d=3, b=1))
         assert ps.pi[4].compose(ps.pi[2]).is_zero()  # pi^2 o pi^4
         assert ps.pi[2].compose(ps.pi[4]).is_zero()  # pi^4 o pi^2
+
+    def test_class_on_wrong_power_rejected(self):
+        p = params()
+        with pytest.raises(ValueError):
+            Correspondence(p, 1, 1, TautRing(params(m=3)).o(3))
+        with pytest.raises(ValueError):
+            Correspondence(p, 1, 1, TautRing(params(m=3)).tau(1, 3))
+
+    def test_apply_rejects_class_off_source(self):
+        p = params()
+        ps = ck_projectors(p)
+        with pytest.raises(ValueError):
+            ps.pi[0].apply(TautRing(p).o(2))
+        with pytest.raises(ValueError):
+            ps.pi[3].apply(TautRing(p).tau(1, 2))
+        point = TautRing(params(m=1)).o(1)
+        assert ps.pi[6].apply(point) == point
 
     def test_arity_mismatch(self):
         p = params()

@@ -119,7 +119,6 @@ class TestAdjudication:
         assert rep.eps2 == -1
         assert rep.eps3 == 1
         assert rep.sym_relation_verified
-        assert rep.sym_form == "plain-sum"
 
     def test_matches_ring_defaults(self):
         rep = adjudicate_signs(model(b=1))
@@ -140,8 +139,7 @@ class TestAdjudication:
 
     def test_report_shape(self):
         rep = adjudicate_signs(model(d=2, b=1)).to_dict()
-        assert set(rep) == {"b", "eps2", "eps3", "sym_form",
-                            "sym_relation_verified", "dims"}
+        assert set(rep) == {"b", "eps2", "eps3", "sym_relation_verified", "dims"}
         assert rep["dims"] == [[0, 1], [1, 2], [2, 3], [3, 5], [4, 3], [5, 2], [6, 1]]
 
     def test_b0_rejected(self):
