@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .linalg import require_ints
+
 MCK_STATUSES = ("trivial", "proven", "new_in_paper", "open")
 
 _CATALOG_JSONL = """\
@@ -50,6 +52,7 @@ class FanoRecord:
     def __post_init__(self):
         if self.mck_status not in MCK_STATUSES:
             raise ValueError(f"unknown mck_status {self.mck_status!r}")
+        require_ints(index=self.index, degree=self.degree, h12=self.h12)
         if self.degree < 1 or self.h12 < 0:
             raise ValueError("degree must be >= 1 and h12 >= 0")
         if (self.mck_status == "trivial") != (self.h12 == 0):

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import Rational
 from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, relabel
 
 
@@ -157,7 +158,7 @@ class ProjectorSet:
         return self.pi[0].params
 
     def diagonal(self) -> CycleClass:
-        total: dict[Monomial, Fraction] = {}
+        total: dict[Monomial, Rational] = {}
         for f in self.pi:
             for mon, c in f.cls.terms.items():
                 accumulate(total, mon, c)

@@ -1,34 +1,46 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, and the coefficient rule.
 
-Rank computations use fraction-free (cross-multiplication) elimination on
-integer rows; incoming rows with rational entries are cleared of
-denominators first.  Everything is exact; no floating point.
+Every coefficient in the engine is an ``int``, or a ``Fraction`` where a
+denominator remains, and never a float; :func:`exact` is the one place
+that turns an input into such a coefficient.  Rank computations use
+fraction-free (cross-multiplication) elimination on integer rows; incoming
+rows with rational entries are cleared of denominators first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
+
+Rational = int | Fraction
+
+
+def exact(c) -> Rational:
+    """The coefficient rule: an int stays an int, an integral Fraction becomes one.
+
+    Anything else goes through Fraction first, exactly: 0.5 gives 1/2, 2.0 gives 2.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def require_ints(**values) -> None:
+    """Raise ValueError unless every value is an int (a bool is not)."""
+    for name, v in values.items():
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def _to_int_row(vec: dict) -> dict:
     """Clear denominators and divide out the content; keys must be sortable."""
-    row = {}
-    denoms = 1
-    for c in vec.values():
-        c = Fraction(c)
-        denoms = denoms * c.denominator // gcd(denoms, c.denominator)
-    for k, c in vec.items():
-        c = Fraction(c)
-        n = c.numerator * (denoms // c.denominator)
-        if n:
-            row[k] = n
-    if not row:
-        return row
-    g = 0
-    for n in row.values():
-        g = gcd(g, n)
+    vec = {k: exact(c) for k, c in vec.items()}
+    denom = lcm(*(c.denominator for c in vec.values()))
+    row = {k: c.numerator * (denom // c.denominator) for k, c in vec.items() if c}
+    g = gcd(*row.values())
     if g > 1:
         row = {k: n // g for k, n in row.items()}
     return row
@@ -60,9 +72,7 @@ class SparseRowBasis:
                 v = fa * row.get(k, 0) - fb * piv.get(k, 0)
                 if v:
                     new[k] = v
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
+            g = gcd(*new.values())
             if g > 1:
                 new = {k: v // g for k, v in new.items()}
             row = new

@@ -11,36 +11,38 @@ The generators h_i, o_i, tau_{i,j} are realized as explicit tensors; the
 tau realization is the odd Kuenneth component of the diagonal, i.e.
 sum_{k,l} (Omega^-1)[k][l] f_k (x) f_l placed in slots i, j.  Running the
 relations inside this model adjudicates the sign conventions of
-:mod:`chowtaut.ring`.
+:mod:`chowtaut.ring`.  Coefficients follow the rule of
+:func:`chowtaut.linalg.exact`: an int, or a Fraction where a denominator
+remains, and never a float.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import SparseRowBasis
+from .linalg import Rational, SparseRowBasis, exact, require_ints
 from .ring import RingParams, accumulate, perfect_matchings
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
-_EVEN_DEG = {E0: 0, E2: 2, E4: 4, E6: 6}
+
+Matrix = tuple[tuple[Rational, ...], ...]
 
 
-def _standard_omega(b: int) -> tuple[tuple[Fraction, ...], ...]:
+def _standard_omega(b: int) -> Matrix:
     """Block-diagonal symplectic Gram matrix with f_{2k}*f_{2k+1} = -o."""
     n = 2 * b
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for k in range(b):
-        rows[2 * k][2 * k + 1] = Fraction(-1)
-        rows[2 * k + 1][2 * k] = Fraction(1)
+        rows[2 * k][2 * k + 1] = -1
+        rows[2 * k + 1][2 * k] = 1
     return tuple(tuple(r) for r in rows)
 
 
-def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+def _invert(mat: Sequence[Sequence[Rational]]) -> Matrix:
     n = len(mat)
     a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
          for i, row in enumerate(mat)]
@@ -55,7 +57,7 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ..
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    return tuple(tuple(exact(x) for x in row[n:]) for row in a)
 
 
 @dataclass(frozen=True)
@@ -64,33 +66,45 @@ class CohomologyModel:
 
     d: int
     b: int
-    omega: tuple[tuple[Fraction, ...], ...] = None  # type: ignore[assignment]
-    omega_inv: tuple[tuple[Fraction, ...], ...] = field(init=False)
+    omega: Matrix = None  # type: ignore[assignment]
+    omega_inv: Matrix = field(init=False)
+    table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        require_ints(d=self.d, b=self.b)
         if self.d < 1 or self.b < 0:
             raise ValueError("need d >= 1 and b >= 0")
         om = self.omega if self.omega is not None else _standard_omega(self.b)
         n = 2 * self.b
         if len(om) != n or any(len(r) != n for r in om):
             raise ValueError("Omega must be 2b x 2b")
-        for i in range(n):
-            for j in range(n):
-                if om[i][j] != -om[j][i]:
-                    raise ValueError("Omega must be antisymmetric")
-        object.__setattr__(self, "omega", tuple(tuple(Fraction(x) for x in r) for r in om))
-        object.__setattr__(self, "omega_inv", _invert(self.omega) if n else ())
+        if any(om[i][j] != -om[j][i] for i in range(n) for j in range(n)):
+            raise ValueError("Omega must be antisymmetric")
+        om = tuple(tuple(exact(x) for x in r) for r in om)
+        # table[x][y] is the product of basis elements x, y as (coefficient, id), or
+        # None: even(>0) * odd lands in degrees 5, 7, 9, other even products above 6.
+        table = [[None] * (n + 4) for _ in range(n + 4)]
+        for x in range(n + 4):
+            table[E0][x] = table[x][E0] = (1, x)
+        table[E2][E2] = (1, E4)
+        table[E2][E4] = table[E4][E2] = (self.d, E6)  # h * h^2 = h^3 = d o
+        for i, j in itertools.product(range(n), repeat=2):
+            if om[i][j]:
+                table[4 + i][4 + j] = (om[i][j], E6)
+        object.__setattr__(self, "omega", om)
+        object.__setattr__(self, "omega_inv", _invert(om) if n else ())
+        object.__setattr__(self, "table", tuple(map(tuple, table)))
 
     @classmethod
     def random_basis(cls, d: int, b: int, rng) -> "CohomologyModel":
         """Model with the Gram matrix of a random unimodular change of odd basis."""
         n = 2 * b
-        mat = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(4 * n):
             i, j = rng.randrange(n), rng.randrange(n)
             if i == j:
                 continue
-            c = Fraction(rng.randint(-3, 3))
+            c = rng.randint(-3, 3)
             for k in range(n):
                 mat[i][k] += c * mat[j][k]
         J = _standard_omega(b)
@@ -101,31 +115,6 @@ class CohomologyModel:
         )
         return cls(d, b, gram)
 
-    @property
-    def dim(self) -> int:
-        return 4 + 2 * self.b
-
-    def degree(self, bid: int) -> int:
-        return _EVEN_DEG[bid] if bid < 4 else 3
-
-    def mul_basis(self, x: int, y: int) -> tuple[Fraction, int] | None:
-        """Product of two basis elements as (coefficient, basis id), or None if zero."""
-        if x == E0:
-            return Fraction(1), y
-        if y == E0:
-            return Fraction(1), x
-        if x < 4 and y < 4:
-            deg = _EVEN_DEG[x] + _EVEN_DEG[y]
-            if deg == 4:
-                return Fraction(1), E4
-            if deg == 6:
-                return Fraction(self.d), E6  # h * h^2 = h^3 = d o
-            return None
-        if x < 4 or y < 4:
-            return None  # even(>0) * odd lands in degrees 5, 7, 9: all zero
-        c = self.omega[x - 4][y - 4]
-        return (c, E6) if c else None
-
 
 class TensorClass:
     """Rational combination of pure tensors on H*(Y^m), with Koszul-signed products."""
@@ -133,26 +122,18 @@ class TensorClass:
     __slots__ = ("model", "m", "terms")
 
     def __init__(self, model: CohomologyModel, m: int,
-                 terms: dict[tuple[int, ...], Fraction] | None = None):
+                 terms: dict[tuple[int, ...], Rational] | None = None):
         self.model = model
         self.m = m
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], Rational] = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.terms[key] = c
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self):
-        degs = {sum(self.model.degree(x) for x in key) for key in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            return "inhomogeneous"
-        return degs.pop()
 
     def __add__(self, other: "TensorClass") -> "TensorClass":
         self._check_compatible(other)
@@ -165,7 +146,7 @@ class TensorClass:
         return self + other.scale(-1)
 
     def scale(self, q) -> "TensorClass":
-        q = Fraction(q)
+        q = exact(q)
         return TensorClass(self.model, self.m,
                            {k: c * q for k, c in self.terms.items()} if q else {})
 
@@ -182,36 +163,37 @@ class TensorClass:
 
 
 def tensor_unit(model: CohomologyModel, m: int) -> TensorClass:
-    return TensorClass(model, m, {(E0,) * m: Fraction(1)})
+    return TensorClass(model, m, {(E0,) * m: 1})
 
 
 def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
-    """Factorwise product with the Koszul sign (-1)^{sum_{j<i} |v_j||u_i|}."""
+    """Factorwise product with the Koszul sign (-1)^{sum_{j<i} |v_j||u_i|}.
+
+    Only parities enter the sign, and the odd basis elements are the ids >= 4:
+    scanning the slots left to right, each odd u_i flips the sign once for
+    every odd v_j already passed.
+    """
     x._check_compatible(y)
-    model, m = x.model, x.m
-    out: dict[tuple[int, ...], Fraction] = {}
+    table = x.model.table
+    out: dict[tuple[int, ...], Rational] = {}
     for u, cu in x.terms.items():
-        u_deg = [model.degree(e) for e in u]
-        # suffix sums of the degrees of u strictly to the right of slot j
-        suffix = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + u_deg[i]
         for v, cv in y.terms.items():
-            sign_exp = 0
             coeff = cu * cv
             key = []
-            for j in range(m):
-                dv = model.degree(v[j])
-                if dv % 2:
-                    sign_exp += suffix[j + 1]
-                prod = model.mul_basis(u[j], v[j])
+            odd_v = negate = False
+            for ui, vi in zip(u, v):
+                prod = table[ui][vi]
                 if prod is None:
                     break
+                if ui >= 4 and odd_v:
+                    negate = not negate
+                if vi >= 4:
+                    odd_v = not odd_v
                 coeff *= prod[0]
                 key.append(prod[1])
             else:
-                accumulate(out, tuple(key), -coeff if sign_exp % 2 else coeff)
-    return TensorClass(model, m, out)
+                accumulate(out, tuple(key), -coeff if negate else coeff)
+    return TensorClass(x.model, x.m, out)
 
 
 def tensor_product_all(classes: Sequence[TensorClass]) -> TensorClass:
@@ -221,9 +203,9 @@ def tensor_product_all(classes: Sequence[TensorClass]) -> TensorClass:
     return acc
 
 
-def tensor_integrate(x: TensorClass) -> Fraction:
+def tensor_integrate(x: TensorClass) -> Rational:
     """Coefficient of the full point class e6 (x) ... (x) e6."""
-    return x.terms.get((E6,) * x.m, Fraction(0))
+    return x.terms.get((E6,) * x.m, 0)
 
 
 def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
@@ -239,7 +221,7 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
         slot = gen[1] - 1
         bid = E2 if kind == "h" else E6
         key = tuple(bid if t == slot else E0 for t in range(m))
-        return TensorClass(model, m, {key: Fraction(1)})
+        return TensorClass(model, m, {key: 1})
     if kind != "tau":
         raise ValueError(f"unknown generator {gen!r}")
     i, j = gen[1], gen[2]
@@ -249,7 +231,7 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
         raise ValueError("tau requires distinct indices")
     if i > j:
         i, j = j, i
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Rational] = {}
     n = 2 * model.b
     for k in range(n):
         for l in range(n):
@@ -320,7 +302,7 @@ def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> Adjudica
         raise ValueError("tau_{1,2} tau_{1,3} is not proportional to tau_{2,3} o_1")
     # symmetrized vanishing on Y^(2b+2)
     n = 2 * model.b + 2
-    total: dict[tuple[int, ...], Fraction] = {}
+    total: dict[tuple[int, ...], Rational] = {}
     for matching in perfect_matchings(list(range(1, n + 1))):
         prod = tensor_product_all([realize(("tau", i, j), model, n) for i, j in matching])
         for key, c in prod.terms.items():

@@ -9,8 +9,9 @@ and tau_{i,j} (codim 3, i != j), modulo the rewrite rules
     tau_{i,j}*tau_{i,k} -> eps3 * tau_{j,k}*o_i     (j != k)
 
 plus, whenever m >= 2b+2, the vanishing of the symmetrized tau products
-(see :meth:`TautRing.sym_relator`).  All coefficients are exact rationals;
-there is no floating point anywhere in this module.
+(see :meth:`TautRing.sym_relator`).  Every coefficient is an int, or a
+Fraction where a denominator remains, and never a float: each input goes
+through :func:`chowtaut.linalg.exact`.
 
 Default signs (eps2 = -1, eps3 = +1, plain unsigned symmetrization) are the
 ones adjudicated by the cohomology tensor model in :mod:`chowtaut.oracle`.
@@ -21,12 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import SparseRowBasis
-
-Rational = Fraction | int
+from .linalg import Rational, SparseRowBasis, exact, require_ints
 
 # A raw generator is one of ('h', i), ('o', i), ('tau', i, j).
 Gen = tuple
@@ -48,6 +46,7 @@ class RingParams:
     eps3: int = 1
 
     def __post_init__(self):
+        require_ints(d=self.d, b=self.b, m=self.m, eps2=self.eps2, eps3=self.eps3)
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if self.b < 0:
@@ -117,11 +116,11 @@ class CycleClass:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: dict[Monomial, Rational] | None = None):
+        self.terms: dict[Monomial, Rational] = {}
         if terms:
             for mon, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.terms[mon] = c
 
@@ -141,8 +140,8 @@ class CycleClass:
     def is_homogeneous(self) -> bool:
         return self.codim != "inhomogeneous"
 
-    def coefficient(self, mon: Monomial) -> Fraction:
-        return self.terms.get(mon, Fraction(0))
+    def coefficient(self, mon: Monomial) -> Rational:
+        return self.terms.get(mon, 0)
 
     def __add__(self, other: "CycleClass") -> "CycleClass":
         out = dict(self.terms)
@@ -157,7 +156,7 @@ class CycleClass:
         return self.scale(-1)
 
     def scale(self, q: Rational) -> "CycleClass":
-        q = Fraction(q)
+        q = exact(q)
         if not q:
             return CycleClass()
         return CycleClass({mon: c * q for mon, c in self.terms.items()})
@@ -168,7 +167,7 @@ class CycleClass:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
         return sorted(self.terms.items(), key=lambda t: t[0].key())
 
     def __str__(self) -> str:
@@ -194,7 +193,7 @@ class CycleClass:
         return f"CycleClass({self})"
 
 
-def accumulate(out: dict, key, c: Fraction) -> None:
+def accumulate(out: dict, key, c: Rational) -> None:
     """Add c*key into a sparse term dict in place, dropping a coefficient that cancels.
 
     The one add-and-drop rule for every exact sum: cycle classes, tensor
@@ -225,23 +224,23 @@ class TautRing:
         return CycleClass()
 
     def one(self) -> CycleClass:
-        return CycleClass({ONE: Fraction(1)})
+        return CycleClass({ONE: 1})
 
     def scalar(self, q: Rational) -> CycleClass:
-        return CycleClass({ONE: Fraction(q)})
+        return CycleClass({ONE: exact(q)})
 
     def h(self, i: int) -> CycleClass:
         self._check_index(i)
-        return CycleClass({Monomial(h=((i, 1),)): Fraction(1)})
+        return CycleClass({Monomial(h=((i, 1),)): 1})
 
     def o(self, i: int) -> CycleClass:
         self._check_index(i)
-        return CycleClass({Monomial(o=(i,)): Fraction(1)})
+        return CycleClass({Monomial(o=(i,)): 1})
 
     def tau(self, i: int, j: int) -> CycleClass:
         self._check_index(i)
         self._check_index(j)
-        return CycleClass({Monomial(tau=(_pair(i, j),)): Fraction(1)})
+        return CycleClass({Monomial(tau=(_pair(i, j),)): 1})
 
     def with_m(self, m: int) -> "TautRing":
         return TautRing(replace(self.p, m=m))
@@ -253,10 +252,10 @@ class TautRing:
     # -- normal form ---------------------------------------------------
 
     def _reduce(self, hc: dict[int, int], oc: dict[int, int],
-                taus: list[tuple[int, int]]) -> tuple[Fraction, Monomial | None]:
+                taus: list[tuple[int, int]]) -> tuple[int, Monomial | None]:
         """Exhaustively rewrite a commutative word; returns (coefficient factor, monomial)."""
         p = self.p
-        coeff = Fraction(1)
+        coeff = 1
         taus = sorted(taus)
         # tau*tau rewrites strictly decrease the number of tau factors.
         changed = True
@@ -286,7 +285,7 @@ class TautRing:
                 if changed:
                     break
             if not coeff:
-                return Fraction(0), None
+                return 0, None
         for i in list(hc):
             while hc[i] >= 3:
                 hc[i] -= 3
@@ -295,10 +294,10 @@ class TautRing:
         tau_idx = {x for pr in taus for x in pr}
         for i, n in oc.items():
             if n >= 2 or (n and hc.get(i, 0)) or (n and i in tau_idx):
-                return Fraction(0), None
+                return 0, None
         for i, n in hc.items():
             if n and i in tau_idx:
-                return Fraction(0), None
+                return 0, None
         mon = Monomial(
             h=tuple(sorted((i, e) for i, e in hc.items() if e)),
             o=tuple(sorted(i for i, n in oc.items() if n)),
@@ -326,7 +325,7 @@ class TautRing:
             else:
                 raise ValueError(f"unknown generator kind {g!r}")
         factor, mon = self._reduce(hc, oc, taus)
-        c = Fraction(coeff) * factor
+        c = exact(coeff) * factor
         if mon is None or not c:
             return CycleClass()
         return CycleClass({mon: c})
@@ -334,7 +333,7 @@ class TautRing:
     # -- ring operations -----------------------------------------------
 
     def multiply(self, a: CycleClass, b: CycleClass) -> CycleClass:
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 hc: dict[int, int] = {i: e for i, e in m1.h}
@@ -377,12 +376,12 @@ class TautRing:
             if a.is_zero():
                 return a
 
-    def integrate(self, a: CycleClass) -> Fraction:
+    def integrate(self, a: CycleClass) -> Rational:
         """Degree map: coefficient of o_1*...*o_m in top codimension, else 0."""
         if not a.is_homogeneous():
             raise ValueError("integrate requires a homogeneous class")
         if a.is_zero() or a.codim != 3 * self.p.m:
-            return Fraction(0)
+            return 0
         point = Monomial(o=tuple(range(1, self.p.m + 1)))
         return a.coefficient(point)
 
@@ -404,7 +403,7 @@ class TautRing:
             raise ValueError(f"m={self.p.m} too small for a relator on {n} indices")
         for i in S:
             self._check_index(i)
-        mult = Fraction(2 ** (self.p.b + 1) * math.factorial(self.p.b + 1))
+        mult = 2 ** (self.p.b + 1) * math.factorial(self.p.b + 1)
         # Distinct matchings are distinct monomials, so no two terms merge.
         return CycleClass({
             Monomial(tau=tuple(sorted(_pair(i, j) for i, j in matching))): mult
@@ -438,7 +437,7 @@ class TautRing:
         out.sort(key=Monomial.key)
         return out
 
-    def relator_vectors(self, c: int) -> list[dict[Monomial, Fraction]]:
+    def relator_vectors(self, c: int) -> list[dict[Monomial, Rational]]:
         """All nf(relator * monomial) of codimension c, as coefficient dicts."""
         rc = 3 * (self.p.b + 1)
         if c < rc:
@@ -448,7 +447,7 @@ class TautRing:
         for S in self.relator_index_sets():
             rel = self.sym_relator(S)
             for mu in lower:
-                v = self.multiply(rel, CycleClass({mu: Fraction(1)}))
+                v = self.multiply(rel, CycleClass({mu: 1}))
                 if not v.is_zero():
                     vecs.append(v.terms)
         return vecs
@@ -511,7 +510,7 @@ class TautRing:
             for mu in lower:
                 if on_S.intersection(mu.o):
                     continue  # tau_{i,j}*o_i -> 0 kills every term
-                v = self.multiply(rel, CycleClass({mu: Fraction(1)}))
+                v = self.multiply(rel, CycleClass({mu: 1}))
                 if v.terms:
                     rows.add({mon.key(): coef for mon, coef in v.terms.items()})
         return basis_size - rows.rank
@@ -538,7 +537,7 @@ def reduce_with_order(ring: TautRing, raw: Iterable[Gen], rng,
             oc[g[1]] = oc.get(g[1], 0) + 1
         else:
             taus.append(_pair(g[1], g[2]))
-    coeff = Fraction(coeff)
+    coeff = exact(coeff)
     while True:
         moves = []
         for a in range(len(taus)):
@@ -606,7 +605,7 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
 
     Different monomials may land on the same target (their terms merge).
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Rational] = {}
     for mon, c in a.terms.items():
         new = Monomial(
             h=tuple(sorted((mapping.get(i, i), e) for i, e in mon.h)),

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from chowtaut.catalog import (
@@ -60,3 +62,12 @@ def test_invariant_violations_rejected():
     with pytest.raises(ValueError):
         parse_catalog('{"label": "a", "index": 1, "degree": 1, "h12": 1, '
                       '"description": "d", "mck_status": "open"}\n' * 2)
+
+
+@pytest.mark.parametrize("field", ["index", "degree", "h12"])
+def test_non_integer_columns_rejected(field):
+    row = {"label": "x", "index": 2, "degree": 3, "h12": 1,
+           "description": "d", "mck_status": "new_in_paper"}
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_catalog(json.dumps({**row, field: bad}) + "\n")

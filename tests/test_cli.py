@@ -96,6 +96,17 @@ def test_verify_requires_params(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("field, bad", [("h12", 1.5), ("degree", 2.5)])
+def test_verify_ck_rejects_non_integer_catalog_row(capsys, tmp_path, field, bad):
+    row = {"label": "x", "index": 2, "degree": 3, "h12": 1,
+           "description": "d", "mck_status": "new_in_paper", field: bad}
+    path = tmp_path / "cat.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify-ck", "--label", "x", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert "must be an integer" in json.loads(err)["error"]
+
+
 def test_oracle_compare(capsys):
     code, out, _ = run(capsys, "oracle-compare", "--b", "1", "--m", "2", "--d", "2")
     assert code == 0

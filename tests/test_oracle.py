@@ -88,6 +88,28 @@ class TestTensorMultiply:
         with pytest.raises(ValueError):
             tensor_multiply(tensor_unit(mod, 2), tensor_unit(mod, 3))
 
+    @pytest.mark.parametrize("mod", [CohomologyModel(3, 2),
+                                     CohomologyModel.random_basis(3, 2, random.Random(7))],
+                             ids=["standard", "random_basis"])
+    def test_product_table_obeys_algebra_laws(self, mod):
+        # On one slot: E0 is the unit, x*y = (-1)^{|x||y|} y*x, and (x*y)*z = x*(y*z).
+        ids = range(4 + 2 * mod.b)
+        elt = {x: TensorClass(mod, 1, {(x,): 1}) for x in ids}
+        for x in ids:
+            assert tensor_multiply(elt[E0], elt[x]) == elt[x] == tensor_multiply(elt[x], elt[E0])
+            for y in ids:
+                xy = tensor_multiply(elt[x], elt[y])
+                sign = -1 if x >= 4 and y >= 4 else 1
+                assert xy == tensor_multiply(elt[y], elt[x]).scale(sign)
+                for z in ids:
+                    assert (tensor_multiply(xy, elt[z])
+                            == tensor_multiply(elt[x], tensor_multiply(elt[y], elt[z])))
+
+    def test_non_integer_params_rejected(self):
+        for d, b in [(2.5, 1), (2, 1.0), (2, True)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                CohomologyModel(d, b)
+
 
 class TestRewriteRulesHoldInModel:
     """Every rewrite rule of the presentation, realized term by term."""

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from chowtaut.linalg import SparseRowBasis
+from chowtaut.oracle import CohomologyModel, TensorClass, realize, tensor_multiply
 from chowtaut.ring import (
     CycleClass,
     Monomial,
@@ -73,6 +75,42 @@ class TestNormalForm:
         r = ring(b=10, eps2=1)
         got = raw_nf(r, ("tau", 1, 2), ("tau", 1, 2))
         assert got == r.multiply(r.o(1), r.o(2)).scale(20)
+
+
+class TestParams:
+    @pytest.mark.parametrize("args", [(2, 1.5, 4), (2.5, 1, 2), (2, 1, 2.0),
+                                      (True, 1, 2), (2, 1, "3")])
+    def test_non_integer_params_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RingParams(*args)
+
+    def test_non_integer_sign_rejected(self):
+        with pytest.raises(ValueError):
+            RingParams(2, 1, 2, eps2=-1.0)
+
+
+def test_coefficients_are_exact_at_the_boundary():
+    # A float is converted exactly at every entry point, never kept as a float.
+    r = ring(d=2, b=1, m=2)
+    half = Fraction(1, 2)
+    mon = next(iter(r.h(1).terms))
+    assert set(CycleClass({mon: 0.5}).terms.values()) == {half}
+    assert set(r.h(1).scale(0.5).terms.values()) == {half}
+    assert set(r.scalar(0.5).terms.values()) == {half}
+    assert set(r.normal_form([("h", 1)], 0.5).terms.values()) == {half}
+    assert set(reduce_with_order(r, [("h", 1)], random.Random(0), 0.5).terms.values()) == {half}
+    mod = CohomologyModel(2, 1)
+    assert set(TensorClass(mod, 1, {(0,): 0.5}).terms.values()) == {half}
+    basis = SparseRowBasis()
+    basis.add({0: 0.5, 1: 1})
+    assert basis.pivots == {0: {0: 1, 1: 2}}  # the row read as exactly 1/2 : 1
+    # Integral results stay int: no Fraction wraps an integer coefficient.
+    t = realize(("tau", 1, 2), mod, 2)
+    rand = CohomologyModel.random_basis(2, 2, random.Random(3))
+    for coeffs in (r.power(r.h(1), 3).terms.values(),
+                   tensor_multiply(t, t).terms.values(),
+                   realize(("tau", 1, 2), rand, 2).terms.values()):
+        assert coeffs and all(type(c) is int for c in coeffs)
 
 
 class TestMultiply:
