@@ -72,20 +72,23 @@ class FanoRecord:
         }
 
 
+_FIELDS = ("label", "index", "degree", "h12", "description", "mck_status")
+
+
 def parse_catalog(text: str) -> list[FanoRecord]:
     records = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"catalog line {number}: record is not an object")
+        missing = [f for f in _FIELDS if f not in obj]
+        if missing:
+            raise ValueError(f"catalog line {number}: missing field {missing[0]!r}")
         records.append(FanoRecord(
-            label=obj["label"],
-            index=obj["index"],
-            degree=obj["degree"],
-            h12=obj["h12"],
-            description=obj["description"],
-            mck_status=obj["mck_status"],
+            **{f: obj[f] for f in _FIELDS},
             citations=tuple(obj.get("citations", ())),
         ))
     labels = [r.label for r in records]
@@ -101,8 +104,12 @@ def serialize_catalog(records: list[FanoRecord]) -> str:
 def load_catalog(path: str | None = None) -> list[FanoRecord]:
     if path is None:
         return parse_catalog(_CATALOG_JSONL)
-    with open(path, encoding="utf-8") as fh:
-        return parse_catalog(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
+    return parse_catalog(text)
 
 
 def catalog_get(label: str, records: list[FanoRecord] | None = None) -> FanoRecord:

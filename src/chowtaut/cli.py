@@ -27,12 +27,6 @@ class CliError(Exception):
     pass
 
 
-def _ring_params(d: int, b: int, m: int, signs: str) -> RingParams:
-    if signs == "paper":
-        return RingParams.paper_signs(d, b, m)
-    return RingParams(d, b, m)
-
-
 def _params_from_args(args) -> tuple[int, int, str | None]:
     """Resolve (d, b) from --label or from --d/--b."""
     if getattr(args, "label", None) is not None:
@@ -72,8 +66,7 @@ def cmd_get(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    p = _ring_params(args.d, args.b, args.m, args.signs)
-    ring = TautRing(p)
+    ring = TautRing(RingParams(args.d, args.b, args.m))
     if args.codim is not None:
         dim = ring.graded_dimension(args.codim)
         print(json.dumps(dim) if args.json else f"codim {args.codim}: {dim}")
@@ -89,7 +82,7 @@ def cmd_dims(args) -> int:
 
 def cmd_verify_ck(args) -> int:
     d, b, label = _params_from_args(args)
-    p = _ring_params(d, b, 2, args.signs)
+    p = RingParams(d, b, 2)
     report = verify_ck(ck_projectors(p))
     cert = {
         "engine": ENGINE,
@@ -104,7 +97,7 @@ def cmd_verify_ck(args) -> int:
 
 def cmd_verify_mck(args) -> int:
     d, b, label = _params_from_args(args)
-    p = _ring_params(d, b, 2, args.signs)
+    p = RingParams(d, b, 2)
     ps = ck_projectors(p)
     ck = verify_ck(ps)
     mck = verify_mck(ps)
@@ -126,7 +119,7 @@ def cmd_verify_mck(args) -> int:
 def cmd_oracle_compare(args) -> int:
     if args.max_codim is not None and args.max_codim < 0:
         raise CliError("--max-codim must be non-negative")
-    p = _ring_params(args.d, args.b, args.m, "adjudicated")
+    p = RingParams(args.d, args.b, args.m)
     ring = TautRing(p)
     model = CohomologyModel(p.d, p.b)
     span = SubalgebraSpan(model, p.m)
@@ -148,8 +141,7 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    p = _ring_params(args.d, args.b, args.m, args.signs)
-    cls = parse_expr(args.expr, TautRing(p))
+    cls = parse_expr(args.expr, TautRing(RingParams(args.d, args.b, args.m)))
     print(str(cls))
     return 0
 
@@ -185,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=ENGINE)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_signs(sp):
-        sp.add_argument("--signs", choices=["adjudicated", "paper"],
-                        default="adjudicated",
-                        help="sign convention for the tau relations")
-
     sp = sub.add_parser("list", help="list the Fano catalog")
     sp.add_argument("--catalog", help="path to an external catalog (JSON lines)")
     sp.add_argument("--json", action="store_true")
@@ -206,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--codim", type=int)
     sp.add_argument("--json", action="store_true")
-    add_signs(sp)
     sp.set_defaults(func=cmd_dims)
 
     for name, fn in (("verify-ck", cmd_verify_ck), ("verify-mck", cmd_verify_mck)):
@@ -215,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--d", type=int)
         sp.add_argument("--b", type=int)
         sp.add_argument("--catalog")
-        add_signs(sp)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("oracle-compare",
@@ -231,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("expr")
-    add_signs(sp)
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("adjudicate", help="adjudicate sign conventions in the model")
@@ -249,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError) as exc:
+    except (CliError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -263,6 +263,8 @@ class MCKReport:
         return bool(self.entries) and all(e.ok for e in self.entries)
 
     def entry(self, i: int, j: int, k: int) -> MCKEntry:
+        if not all(0 <= x <= 6 for x in (i, j, k)):
+            raise ValueError(f"MCK entry indices must lie in 0..6, got ({i}, {j}, {k})")
         return self.entries[49 * i + 7 * j + k]
 
     def to_dict(self) -> dict:

@@ -333,6 +333,8 @@ class SubalgebraSpan:
         self._reducers[0].add(self._bases[0][0].terms)
 
     def _grow(self, c: int) -> None:
+        if not 0 <= c <= 3 * self.m:
+            raise ValueError(f"codimension {c} out of range 0..{3 * self.m}")
         while len(self._bases) <= c:
             k = len(self._bases)
             reducer = SparseRowBasis()
@@ -359,8 +361,6 @@ class SubalgebraSpan:
         return self._bases[c]
 
     def dimension(self, c: int) -> int:
-        if not 0 <= c <= 3 * self.m:
-            raise ValueError(f"codimension {c} out of range 0..{3 * self.m}")
         self._grow(c)
         return self._reducers[c].rank
 

@@ -42,6 +42,36 @@ def test_get_unknown_label(capsys):
     assert "error" in json.loads(err)
 
 
+def test_list_unreadable_catalog(capsys, tmp_path):
+    missing = str(tmp_path / "missing.jsonl")
+    code, out, err = run(capsys, "list", "--catalog", missing)
+    assert code == 2 and out == ""
+    assert missing in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"label": "x", "index": 2, "h12": 1, "description": "d", '
+     '"mck_status": "new_in_paper"}', "line 2: missing field 'degree'"),
+    ("[1]", "line 2: record is not an object"),
+])
+def test_list_malformed_catalog_record(capsys, tmp_path, line, message):
+    path = tmp_path / "cat.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "list", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(ps):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr(cli, "verify_ck", broken)
+    with pytest.raises(KeyError):
+        main(["verify-ck", "--d", "2", "--b", "1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_dims_json(capsys):
     code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "2", "--json")
     assert code == 0
@@ -122,13 +152,18 @@ def test_reduce(capsys):
     assert out.strip() == "0"
 
 
-def test_reduce_paper_signs(capsys):
-    _, out_adj, _ = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2",
-                        "t_{1,2}^2")
-    _, out_paper, _ = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2",
-                          "--signs", "paper", "t_{1,2}^2")
-    assert out_adj.strip() == "-2*o_1*o_2"
-    assert out_paper.strip() == "2*o_1*o_2"
+@pytest.mark.parametrize("argv", [
+    ["dims", "--d", "2", "--b", "1", "--m", "2"],
+    ["reduce", "--d", "2", "--b", "1", "--m", "2", "t_{1,2}^2"],
+    ["verify-ck", "--d", "2", "--b", "1"],
+    ["verify-mck", "--d", "2", "--b", "1"],
+], ids=lambda argv: argv[0])
+def test_signs_option_rejected(capsys, argv):
+    # The adjudicated signs are the only ones with a degree map; no option selects others.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--signs", "paper"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --signs paper" in capsys.readouterr().err
 
 
 def test_reduce_syntax_error(capsys):

@@ -276,6 +276,9 @@ class TestVerifyMCK:
         report = verify_mck(ck_projectors(params(d=2, b=1)))
         e = report.entry(0, 0, 0)
         assert e.exempt and not e.value.is_zero() and e.ok
+        for bad in [(0, 0, 7), (-1, 0, 0)]:
+            with pytest.raises(ValueError):
+                report.entry(*bad)
 
 
 class TestInvolution:

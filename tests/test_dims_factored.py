@@ -1,10 +1,13 @@
-"""The factored graded_dimension against brute force and the tensor oracle."""
+"""The closed-form graded dimensions against brute force and the tensor oracle."""
+
+import itertools
+import math
 
 import pytest
 
 from chowtaut.linalg import SparseRowBasis
 from chowtaut.oracle import CohomologyModel, SubalgebraSpan
-from chowtaut.ring import RingParams, TautRing
+from chowtaut.ring import RingParams, TautRing, perfect_matchings, symplectic_invariant_counts
 
 SIGNS = {"adjudicated": RingParams, "paper": RingParams.paper_signs}
 
@@ -17,17 +20,62 @@ def brute_dimension(r, c):
     return len(r.graded_basis(c)) - rows.rank
 
 
+def crossing_free_matchings(b, p):
+    """Perfect matchings of 1..2p in which no b+1 arcs cross pairwise."""
+    def cross(e, f):
+        (i, j), (k, l) = sorted((e, f))
+        return i < k < j < l
+
+    return sum(
+        not any(all(cross(e, f) for e, f in itertools.combinations(arcs, 2))
+                for arcs in itertools.combinations(matching, b + 1))
+        for matching in perfect_matchings(range(1, 2 * p + 1)))
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_invariant_counts_match_matching_count(b):
+    assert symplectic_invariant_counts(b, 6) == [crossing_free_matchings(b, p)
+                                                 for p in range(7)]
+
+
+def test_invariant_counts_known_values():
+    catalan = [math.comb(2 * p, p) // (p + 1) for p in range(7)]
+    assert symplectic_invariant_counts(1, 6) == catalan
+    assert symplectic_invariant_counts(2, 6) == [1, 1, 3, 14, 84, 594, 4719]
+    assert symplectic_invariant_counts(0, 3) == [1, 0, 0, 0]
+
+
 @pytest.mark.parametrize("signs", sorted(SIGNS))
 @pytest.mark.parametrize("b", [0, 1, 2, 3])
 def test_matches_brute_force_and_ignores_d(b, signs):
+    """The closed form is the brute-force quotient; under paper signs it is refused."""
     for m in range(1, 6):
         by_d = {}
         for d in (1, 2, 22):
             r = TautRing(SIGNS[signs](d, b, m))
-            got = r.graded_dimensions()
-            assert got == [brute_dimension(r, c) for c in range(3 * m + 1)], (d, m)
-            by_d[d] = got
+            brute = [brute_dimension(r, c) for c in range(3 * m + 1)]
+            if signs == "adjudicated":
+                assert r.graded_dimensions() == brute, (d, m)
+            else:
+                with pytest.raises(ValueError, match="adjudicated signs"):
+                    r.graded_dimensions()
+            by_d[d] = brute
         assert by_d[1] == by_d[2] == by_d[22], m
+
+
+def test_paper_signs_ring_collapses():
+    # Under eps2 = +1, tau_{1,2} * R(1..4) = 32 o_1 o_2 t_{3,4}; times t_{3,4}
+    # that puts the point class in the ideal, so the degree map is lost.
+    r = TautRing(RingParams.paper_signs(2, 1, 4))
+    assert brute_dimension(r, 12) == 0
+    assert TautRing(RingParams(2, 1, 4)).graded_dimension(12) == 1
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_poincare_symmetry(b):
+    for m in range(1, 31):
+        dims = TautRing(RingParams(2, b, m)).graded_dimensions()
+        assert dims == dims[::-1] and dims[0] == dims[-1] == 1, m
 
 
 @pytest.mark.parametrize("b,m", [(1, 4), (1, 5), (2, 4)])

@@ -176,6 +176,14 @@ class TestSpanDimension:
     def test_codim0(self):
         assert span_dimension(RingParams(3, 2, 2), 0) == 1
 
+    def test_codim_out_of_range(self):
+        span = SubalgebraSpan(model(b=1), 2)
+        unit = tensor_unit(span.model, 2)
+        for c in (-1, 7, 9):
+            for call in (span.basis, span.dimension, lambda c: span.contains(unit, c)):
+                with pytest.raises(ValueError, match="out of range"):
+                    call(c)
+
     def test_pure_tau_span_at_c6_m4(self):
         mod = model(b=1)
         vecs = []
