@@ -87,10 +87,13 @@ def parse_catalog(text: str) -> list[FanoRecord]:
         missing = [f for f in _FIELDS if f not in obj]
         if missing:
             raise ValueError(f"catalog line {number}: missing field {missing[0]!r}")
-        records.append(FanoRecord(
-            **{f: obj[f] for f in _FIELDS},
-            citations=tuple(obj.get("citations", ())),
-        ))
+        for f in ("label", "description"):
+            if not isinstance(obj[f], str):
+                raise ValueError(f"catalog line {number}: field {f!r} must be a string")
+        citations = obj.get("citations", [])
+        if not (isinstance(citations, list) and all(isinstance(c, str) for c in citations)):
+            raise ValueError(f"catalog line {number}: field 'citations' must be a list of strings")
+        records.append(FanoRecord(**{f: obj[f] for f in _FIELDS}, citations=tuple(citations)))
     labels = [r.label for r in records]
     if len(set(labels)) != len(labels):
         raise ValueError("catalog labels must be unique")

@@ -167,8 +167,6 @@ class ProjectorSet:
 
 def ck_projectors(p: RingParams) -> ProjectorSet:
     """The h-power projectors pi^{2j} = (1/d) h_1^(3-j) h_2^j and pi^3 = tau_{1,2}."""
-    if p.eps3 != 1:
-        raise ValueError("projector idempotency forces eps3 = +1")
     ring = TautRing(p).with_m(2)
     d = p.d
     pi: list[Correspondence] = []
@@ -275,19 +273,28 @@ class MCKReport:
 
 
 def verify_mck(ps: ProjectorSet) -> MCKReport:
-    """Evaluate (t(pi^i) x t(pi^j) x pi^k)_* Delta^sm for all 343 triples.
+    """Evaluate pi^k o Delta^sm o (pi^i x pi^j) for all 343 triples.
 
-    Multiplicativity holds iff the entry vanishes whenever i + j != k;
-    entries with i + j = k are reported but not asserted.
+    By the projection formula along the small diagonal, entry (i, j, k) is
+    the push forward forgetting factor 1 of the product on Y^4
+
+        t(pi^i)_{1,2} * t(pi^j)_{1,3} * pi^k_{1,4},
+
+    which equals (t(pi^i) x t(pi^j) x pi^k)_* Delta^sm.  Multiplicativity
+    holds iff the entry vanishes whenever i + j != k; entries with
+    i + j = k are reported but not asserted.
     """
-    ring3 = TautRing(ps.params).with_m(3)
-    dsm = small_diagonal(ring3)
+    ring4 = TautRing(ps.params).with_m(4)
     transposes = [f.transpose() for f in ps.pi]
+    firsts = [relabel(f.cls, {2: 2}, ring4) for f in transposes]
+    seconds = [relabel(f.cls, {2: 3}, ring4) for f in transposes]
+    thirds = [relabel(f.cls, {2: 4}, ring4) for f in ps.pi]
     entries: list[MCKEntry] = []
     for i, j in itertools.product(range(7), repeat=2):
-        pair = transposes[i].tensor(transposes[j])
+        pair = ring4.multiply(firsts[i], seconds[j])
         for k in range(7):
-            entries.append(MCKEntry(i, j, k, pair.tensor(ps.pi[k]).apply(dsm)))
+            value = pushforward_forget(ring4, ring4.multiply(pair, thirds[k]), {1})
+            entries.append(MCKEntry(i, j, k, value))
     return MCKReport(tuple(entries))
 
 

@@ -271,6 +271,14 @@ class AdjudicationReport:
         }
 
 
+def _sign(lhs: TensorClass, rhs: TensorClass, message: str) -> int:
+    """The sign s with lhs = s * rhs; ValueError(message) if there is none."""
+    for s in (1, -1):
+        if lhs == rhs.scale(s):
+            return s
+    raise ValueError(message)
+
+
 def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> AdjudicationReport:
     """Read the signs of the tau relations off the tensor model.
 
@@ -284,22 +292,12 @@ def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> Adjudica
     tau2 = realize(("tau", 1, 2), model, 2)
     sq = tensor_multiply(tau2, tau2)
     oo = tensor_multiply(realize(("o", 1), model, 2), realize(("o", 2), model, 2))
-    target = oo.scale(2 * model.b)
-    if sq == target:
-        eps2 = 1
-    elif sq == target.scale(-1):
-        eps2 = -1
-    else:
-        raise ValueError("tau^2 is not proportional to 2b * o_1 o_2 in the model")
+    eps2 = _sign(sq, oo.scale(2 * model.b),
+                 "tau^2 is not proportional to 2b * o_1 o_2 in the model")
     # eps3 on Y^3
     lhs = tensor_multiply(realize(("tau", 1, 2), model, 3), realize(("tau", 1, 3), model, 3))
     rhs = tensor_multiply(realize(("tau", 2, 3), model, 3), realize(("o", 1), model, 3))
-    if lhs == rhs:
-        eps3 = 1
-    elif lhs == rhs.scale(-1):
-        eps3 = -1
-    else:
-        raise ValueError("tau_{1,2} tau_{1,3} is not proportional to tau_{2,3} o_1")
+    eps3 = _sign(lhs, rhs, "tau_{1,2} tau_{1,3} is not proportional to tau_{2,3} o_1")
     # symmetrized vanishing on Y^(2b+2)
     n = 2 * model.b + 2
     total: dict[tuple[int, ...], Rational] = {}

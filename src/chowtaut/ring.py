@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .linalg import Rational, exact, require_ints
 
@@ -35,31 +35,32 @@ class RingParams:
     """Numerical data fixing the ring R*(Y^m).
 
     d is the degree (integral of h^3 over Y), b is half the dimension of
-    the odd cohomology, m the power of Y.  eps2/eps3 are the signs in the
-    tau^2 and shared-index relations.
+    the odd cohomology, m the power of Y.  eps2 is the sign in the tau^2
+    relation; eps3, the sign in the shared-index relation, is fixed at +1
+    (projector idempotency forces it, and the tensor model confirms it).
     """
 
     d: int
     b: int
     m: int
     eps2: int = -1
-    eps3: int = 1
+    eps3: ClassVar[int] = 1
 
     def __post_init__(self):
-        require_ints(d=self.d, b=self.b, m=self.m, eps2=self.eps2, eps3=self.eps3)
+        require_ints(d=self.d, b=self.b, m=self.m, eps2=self.eps2)
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if self.b < 0:
             raise ValueError("b must be non-negative")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.eps2 not in (1, -1) or self.eps3 not in (1, -1):
-            raise ValueError("eps2 and eps3 must be +1 or -1")
+        if self.eps2 not in (1, -1):
+            raise ValueError("eps2 must be +1 or -1")
 
     @classmethod
     def paper_signs(cls, d: int, b: int, m: int) -> "RingParams":
         """Signs as literally printed in the source presentation (tau^2 = +2b o o)."""
-        return cls(d, b, m, eps2=1, eps3=1)
+        return cls(d, b, m, eps2=1)
 
 
 @dataclass(frozen=True)
@@ -253,82 +254,63 @@ class TautRing:
 
     def _reduce(self, hc: dict[int, int], oc: dict[int, int],
                 taus: list[tuple[int, int]]) -> tuple[int, Monomial | None]:
-        """Exhaustively rewrite a commutative word; returns (coefficient factor, monomial)."""
+        """Rewrite a commutative word to normal form; returns (coefficient factor, monomial).
+
+        Each tau_{i,j} is inserted into a partial matching (mate[i] == j iff
+        mate[j] == i).  If i and j are matched to each other, the pair squares
+        away to eps2*2b*o_i*o_j.  Otherwise each end already matched, say i to
+        a, takes one shared-index rewrite tau_{a,i}*tau_{i,j} -> eps3*tau_{a,j}*o_i:
+        i gets o and the new pair moves to a.
+        """
         p = self.p
         coeff = 1
-        taus = sorted(taus)
-        # tau*tau rewrites strictly decrease the number of tau factors.
-        changed = True
-        while changed:
-            changed = False
-            for a in range(len(taus)):
-                for c in range(a + 1, len(taus)):
-                    pa, pc = taus[a], taus[c]
-                    if pa == pc:
-                        coeff *= p.eps2 * 2 * p.b
-                        oc[pa[0]] = oc.get(pa[0], 0) + 1
-                        oc[pa[1]] = oc.get(pa[1], 0) + 1
-                    else:
-                        shared = set(pa) & set(pc)
-                        if not shared:
-                            continue
-                        i = shared.pop()
-                        j = (set(pa) - {i}).pop()
-                        k = (set(pc) - {i}).pop()
-                        coeff *= p.eps3
-                        taus.append(_pair(j, k))
-                        oc[i] = oc.get(i, 0) + 1
-                    del taus[c], taus[a]
-                    taus.sort()
-                    changed = True
-                    break
-                if changed:
-                    break
-            if not coeff:
-                return 0, None
+        mate: dict[int, int] = {}
+        for i, j in taus:
+            if mate.get(i) == j:
+                del mate[i], mate[j]
+                coeff *= p.eps2 * 2 * p.b
+                oc[i] = oc.get(i, 0) + 1
+                oc[j] = oc.get(j, 0) + 1
+                continue
+            pair = [i, j]
+            for n, end in enumerate(pair):
+                a = mate.pop(end, None)
+                if a is not None:
+                    del mate[a]
+                    coeff *= p.eps3
+                    oc[end] = oc.get(end, 0) + 1
+                    pair[n] = a
+            i, j = pair
+            mate[i], mate[j] = j, i
+        if not coeff:
+            return 0, None
         for i in list(hc):
             while hc[i] >= 3:
                 hc[i] -= 3
                 oc[i] = oc.get(i, 0) + 1
                 coeff *= p.d
-        tau_idx = {x for pr in taus for x in pr}
         for i, n in oc.items():
-            if n >= 2 or (n and hc.get(i, 0)) or (n and i in tau_idx):
+            if n >= 2 or (n and hc.get(i, 0)) or (n and i in mate):
                 return 0, None
         for i, n in hc.items():
-            if n and i in tau_idx:
+            if n and i in mate:
                 return 0, None
         mon = Monomial(
             h=tuple(sorted((i, e) for i, e in hc.items() if e)),
             o=tuple(sorted(i for i, n in oc.items() if n)),
-            tau=tuple(sorted(taus)),
+            tau=tuple(sorted((i, j) for i, j in mate.items() if i < j)),
         )
         return coeff, mon
 
     def normal_form(self, raw: Iterable[Gen], coeff: Rational = 1) -> CycleClass:
         """Normal form of a single product of generators times a coefficient."""
-        hc: dict[int, int] = {}
-        oc: dict[int, int] = {}
-        taus: list[tuple[int, int]] = []
+        makers = {"h": self.h, "o": self.o, "tau": self.tau}
+        factors = []
         for g in raw:
-            kind = g[0]
-            if kind == "h":
-                self._check_index(g[1])
-                hc[g[1]] = hc.get(g[1], 0) + 1
-            elif kind == "o":
-                self._check_index(g[1])
-                oc[g[1]] = oc.get(g[1], 0) + 1
-            elif kind == "tau":
-                self._check_index(g[1])
-                self._check_index(g[2])
-                taus.append(_pair(g[1], g[2]))
-            else:
+            if g[0] not in makers:
                 raise ValueError(f"unknown generator kind {g!r}")
-        factor, mon = self._reduce(hc, oc, taus)
-        c = exact(coeff) * factor
-        if mon is None or not c:
-            return CycleClass()
-        return CycleClass({mon: c})
+            factors.append(makers[g[0]](*g[1:]))
+        return self.product(factors).scale(coeff)
 
     # -- ring operations -----------------------------------------------
 
@@ -475,20 +457,20 @@ class TautRing:
         Sp(2b) (De Concini-Procesi 1976) is the invariant space above.
         The dimensions depend on b but not on d.
 
-        This holds only for the adjudicated signs (eps2, eps3) = (-1, +1):
-        under other signs the relator ideal is not the kernel to cohomology
-        (with eps2 = +1 it already contains the point class at b=1, m=4), so
-        any other signs raise ValueError.  Checked against the brute-force
-        quotient, len(graded_basis(c)) - rank(relator_vectors(c)), for
-        m <= 5, b <= 3, against the tensor model at (1, 4), (1, 5), (2, 4),
-        and once against an exact h-free elimination for b <= 3, m <= 6 and
-        at (0, 7), (1, 7), (1, 8), (2, 7), (2, 8), (3, 8).  Beyond these
-        ranges the result rests on the cited theorem.
+        This holds only for the adjudicated sign eps2 = -1: with eps2 = +1
+        the relator ideal is not the kernel to cohomology (it already
+        contains the point class at b=1, m=4), so eps2 = +1 raises
+        ValueError.  Checked against the brute-force quotient,
+        len(graded_basis(c)) - rank(relator_vectors(c)), for m <= 5, b <= 3,
+        against the tensor model at (1, 4), (1, 5), (2, 4), and once against
+        an exact h-free elimination for b <= 3, m <= 6 and at (0, 7),
+        (1, 7), (1, 8), (2, 7), (2, 8), (3, 8).  Beyond these ranges the
+        result rests on the cited theorem.
         """
         p = self.p
-        if (p.eps2, p.eps3) != (-1, 1):
+        if p.eps2 != -1:
             raise ValueError("graded dimensions are known only for the adjudicated "
-                             f"signs eps2=-1, eps3=1, not eps2={p.eps2}, eps3={p.eps3}")
+                             f"signs eps2=-1, eps3=1, not eps2={p.eps2}")
         m = p.m
         invariants = symplectic_invariant_counts(p.b, m // 2)
         # free[n] holds the coefficients of (1+x+x^2+x^3)^n.

@@ -53,6 +53,13 @@ def test_list_unreadable_catalog(capsys, tmp_path):
     ('{"label": "x", "index": 2, "h12": 1, "description": "d", '
      '"mck_status": "new_in_paper"}', "line 2: missing field 'degree'"),
     ("[1]", "line 2: record is not an object"),
+    ('{"label": "x", "index": 2, "degree": 2, "h12": 1, "description": "d", '
+     '"mck_status": "new_in_paper", "citations": 5}',
+     "line 2: field 'citations' must be a list of strings"),
+    ('{"label": 7, "index": 2, "degree": 2, "h12": 1, "description": "d", '
+     '"mck_status": "new_in_paper"}', "line 2: field 'label' must be a string"),
+    ('{"label": "x", "index": 2, "degree": 2, "h12": 1, "description": ["a"], '
+     '"mck_status": "new_in_paper"}', "line 2: field 'description' must be a string"),
 ])
 def test_list_malformed_catalog_record(capsys, tmp_path, line, message):
     path = tmp_path / "cat.jsonl"

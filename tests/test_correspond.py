@@ -165,8 +165,9 @@ class TestProjectors:
             assert ps.pi[i].transpose() == ps.pi[6 - i]
 
     def test_eps3_minus_one_rejected(self):
-        with pytest.raises(ValueError):
-            ck_projectors(RingParams(2, 1, 2, eps3=-1))
+        # eps3 is fixed at +1 (idempotency forces it): it is not a parameter.
+        with pytest.raises(TypeError):
+            RingParams(2, 1, 2, eps3=-1)
 
     def test_action_on_model_lines(self):
         # pi^{2j} is the identity on the h^j-line and zero elsewhere;
@@ -272,6 +273,25 @@ class TestVerifyMCK:
         report = verify_mck(ck_projectors(params(d=2, b=1)))
         assert report.entry(3, 3, 3).value.is_zero()
 
+    @pytest.mark.parametrize("d,b", [(2, 0), (2, 1), (3, 5)])
+    def test_matches_small_diagonal_on_y6(self, d, b):
+        # the Y^4 product equals the generic (t(pi^i) x t(pi^j) x pi^k)_* Delta^sm
+        ps = ck_projectors(params(d=d, b=b))
+        assert [e.value for e in verify_mck(ps).entries] == mck_on_y6(ps)
+
+    def test_sabotage_matches_small_diagonal_on_y6(self):
+        # transposes are no longer pi^(6-i), and some entries with i + j != k survive
+        p = params(d=2, b=1)
+        ps = ck_projectors(p)
+        r = TautRing(p)
+        pi = list(ps.pi)
+        pi[2] = Correspondence(p, 1, 1, pi[2].cls + r.o(1))
+        pi[3] = Correspondence(p, 1, 1, pi[3].cls.scale(2))
+        bad = type(ps)(pi=tuple(pi))
+        report = verify_mck(bad)
+        assert [e.value for e in report.entries] == mck_on_y6(bad)
+        assert not report.passed
+
     def test_entry_000_reported_not_asserted(self):
         report = verify_mck(ck_projectors(params(d=2, b=1)))
         e = report.entry(0, 0, 0)
@@ -307,6 +327,14 @@ def model_apply(corr: TensorClass, x: TensorClass, mod) -> TensorClass:
         if key[0] == 3:  # e6 integrates to 1; anything else to 0
             out_terms[(key[1],)] = out_terms.get((key[1],), Fraction(0)) + c
     return TensorClass(mod, 1, {k: v for k, v in out_terms.items() if v})
+
+
+def mck_on_y6(ps):
+    """All 343 MCK entries by the Y^6 tensor correspondence applied to Delta^sm."""
+    dsm = small_diagonal(TautRing(ps.params).with_m(3))
+    t = [f.transpose() for f in ps.pi]
+    return [t[i].tensor(t[j]).tensor(ps.pi[k]).apply(dsm)
+            for i, j, k in itertools.product(range(7), repeat=3)]
 
 
 def random_homogeneous(ring, rng):

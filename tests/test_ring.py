@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -61,6 +62,18 @@ class TestNormalForm:
         got = raw_nf(r, ("tau", 1, 2), ("tau", 1, 3))
         want = r.multiply(r.tau(2, 3), r.o(1)).scale(r.p.eps3)
         assert got == want
+
+    # tau words at b = 3 on Y^4, in every insertion order
+    @pytest.mark.parametrize("word, want", [
+        ([(1, 2), (2, 3), (3, 4), (1, 4)], "-6*o_1*o_2*o_3*o_4"),  # 4-cycle
+        ([(1, 2), (2, 3), (3, 4)], "o_2*o_3*t_{1,4}"),             # path
+        ([(1, 2), (1, 3), (1, 4)], "0"),                            # degree-3 vertex
+    ], ids=["cycle", "path", "vertex"])
+    def test_tau_words_b3(self, word, want):
+        r = ring(d=2, b=3, m=4)
+        for order in itertools.permutations(word):
+            assert str(raw_nf(r, *[("tau", i, j) for i, j in order])) == want
+            assert str(r.product([r.tau(i, j) for i, j in order])) == want
 
     def test_index_out_of_range(self):
         r = ring(m=2)
@@ -279,6 +292,15 @@ class TestConfluenceAndQuotient:
             for _ in range(2):
                 assert reduce_with_order(r, raw, rng) == ref
 
+    def test_product_of_monomials_matches_rule_order(self):
+        # multiply inserts every tau of both words into one matching
+        rng = random.Random(41)
+        for _ in range(600):
+            r = ring(d=rng.choice([1, 2, 3]), b=rng.choice([0, 1, 3]), m=rng.randint(2, 6))
+            m1, m2 = random_matching_monomial(r, rng), random_matching_monomial(r, rng)
+            got = r.multiply(CycleClass({m1: 1}), CycleClass({m2: 1}))
+            assert got == reduce_with_order(r, m1.generators() + m2.generators(), rng)
+
     def test_integration_well_defined_on_relator_ideal(self):
         rng = random.Random(5)
         checked = 0
@@ -365,6 +387,17 @@ def random_monomial(r, rng):
     if cls.is_zero():
         return Monomial()
     return next(iter(cls.terms))
+
+
+def random_matching_monomial(r, rng):
+    """Random normal-form monomial: a random partial matching, h or o on the rest."""
+    idx = rng.sample(range(1, r.p.m + 1), r.p.m)
+    k = rng.randint(0, r.p.m // 2)
+    tau = tuple(sorted(tuple(sorted(idx[2 * n:2 * n + 2])) for n in range(k)))
+    weights = {i: rng.choice([0, 0, 0, 1, 2, 3]) for i in idx[2 * k:]}
+    return Monomial(h=tuple(sorted((i, w) for i, w in weights.items() if w in (1, 2))),
+                    o=tuple(sorted(i for i, w in weights.items() if w == 3)),
+                    tau=tau)
 
 
 def random_class(r, rng, n_terms=3):
