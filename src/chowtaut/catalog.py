@@ -76,12 +76,16 @@ _FIELDS = ("label", "index", "degree", "h12", "description", "mck_status")
 
 
 def parse_catalog(text: str) -> list[FanoRecord]:
+    """Parse JSON lines; every error names the catalog line it comes from."""
     records = []
+    first_line: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"catalog line {number}: {exc.msg} at column {exc.colno}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"catalog line {number}: record is not an object")
         missing = [f for f in _FIELDS if f not in obj]
@@ -93,10 +97,15 @@ def parse_catalog(text: str) -> list[FanoRecord]:
         citations = obj.get("citations", [])
         if not (isinstance(citations, list) and all(isinstance(c, str) for c in citations)):
             raise ValueError(f"catalog line {number}: field 'citations' must be a list of strings")
-        records.append(FanoRecord(**{f: obj[f] for f in _FIELDS}, citations=tuple(citations)))
-    labels = [r.label for r in records]
-    if len(set(labels)) != len(labels):
-        raise ValueError("catalog labels must be unique")
+        try:
+            rec = FanoRecord(**{f: obj[f] for f in _FIELDS}, citations=tuple(citations))
+        except ValueError as exc:
+            raise ValueError(f"catalog line {number}: {exc}") from None
+        if rec.label in first_line:
+            raise ValueError(f"catalog line {number}: duplicate label {rec.label!r}"
+                             f" (first on line {first_line[rec.label]})")
+        first_line[rec.label] = number
+        records.append(rec)
     return records
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
@@ -28,6 +29,9 @@ from .ring import RingParams, accumulate, perfect_matchings
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
+# DEGREE[min(id, 4)] is the degree of a basis element; H*(Y) is nonzero in SLOT_DEGREES
+DEGREE = (0, 2, 4, 6, 3)
+SLOT_DEGREES = frozenset(DEGREE)
 
 Matrix = tuple[tuple[Rational, ...], ...]
 
@@ -316,8 +320,16 @@ def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> Adjudica
 # -- generated subalgebra ---------------------------------------------------
 
 
+def _slot_degrees(x: TensorClass) -> tuple[int, ...]:
+    """Degree in each slot of a nonzero multi-homogeneous class, read off one term."""
+    return tuple(DEGREE[min(i, 4)] for i in next(iter(x.terms)))
+
+
 class SubalgebraSpan:
-    """Graded span of the subalgebra of H*(Y^m) generated by the realized classes."""
+    """Graded span of the subalgebra of H*(Y^m) generated by the realized classes.
+
+    Built from standard monomials; README.md, "The tensor model", has the method.
+    """
 
     def __init__(self, model: CohomologyModel, m: int):
         self.model = model
@@ -325,10 +337,19 @@ class SubalgebraSpan:
         gens = [("h", i) for i in range(1, m + 1)]
         gens += [("o", i) for i in range(1, m + 1)]
         gens += [("tau", i, j) for i, j in itertools.combinations(range(1, m + 1), 2)]
-        self._gens = [(1 if g[0] == "h" else 3, realize(g, model, m)) for g in gens]
-        self._bases: list[list[TensorClass]] = [[tensor_unit(model, m)]]
+        # (slot degrees, tensor); a zero generator (tau at b = 0) spans nothing
+        self._gens = [(_slot_degrees(t), t) for g in gens
+                      if not (t := realize(g, model, m)).is_zero()]
+        unit = tensor_unit(model, m)
+        self._bases: list[list[TensorClass]] = [[unit]]
+        # Basis class i of codim c > 0 is class parents[c][i] of codim c - codim(g) times
+        # generator g = lasts[c][i]: its word, the nondecreasing tuple of its generator
+        # indices, is the parent's word followed by g.  The unit's entries are 0, so any
+        # generator may follow its empty word.
+        self._parents: list[list[int]] = [[0]]
+        self._lasts: list[list[int]] = [[0]]
         self._reducers: list[SparseRowBasis] = [SparseRowBasis()]
-        self._reducers[0].add(self._bases[0][0].terms)
+        self._reducers[0].add(unit.terms)
 
     def _grow(self, c: int) -> None:
         if not 0 <= c <= 3 * self.m:
@@ -337,21 +358,33 @@ class SubalgebraSpan:
             k = len(self._bases)
             reducer = SparseRowBasis()
             basis: list[TensorClass] = []
-            seen: set = set()
-            for codim, gen in self._gens:
-                if k - codim < 0:
+            parents: list[int] = []
+            lasts: list[int] = []
+            # Codim k is filled greedily in increasing monomial order: fewer h first, then
+            # lex with generator 0 heaviest.  The kept words are then the standard
+            # monomials (Macaulay's basis theorem), so each is a kept word times a generator
+            # no earlier than its last letter.  Those candidates come in order unsorted:
+            # a word times an o or a tau (from codim k - 3) has fewer h than an h word times
+            # an h (from codim k - 1), each codim keeps its words in order, and for one word
+            # a later generator comes first.  None that vanishes by slot degree is formed.
+            for src, codim in ((k - 3, 3), (k - 1, 1)):
+                if src < 0:
                     continue
-                for x in self._bases[k - codim]:
-                    v = tensor_multiply(gen, x)
-                    if v.is_zero():
-                        continue
-                    fingerprint = frozenset(v.terms.items())
-                    if fingerprint in seen:
-                        continue
-                    seen.add(fingerprint)
-                    if reducer.add(v.terms):
-                        basis.append(v)
+                run = [g for g, (gdeg, _) in enumerate(self._gens) if sum(gdeg) == 2 * codim]
+                for x, (last, cls) in enumerate(zip(self._lasts[src], self._bases[src])):
+                    xdeg = _slot_degrees(cls)
+                    for g in reversed(run):
+                        if g < last:
+                            break
+                        if SLOT_DEGREES.issuperset(map(add, xdeg, self._gens[g][0])):
+                            v = tensor_multiply(cls, self._gens[g][1])
+                            if reducer.add(v.terms):
+                                basis.append(v)
+                                parents.append(x)
+                                lasts.append(g)
             self._bases.append(basis)
+            self._parents.append(parents)
+            self._lasts.append(lasts)
             self._reducers.append(reducer)
 
     def basis(self, c: int) -> list[TensorClass]:
@@ -363,6 +396,7 @@ class SubalgebraSpan:
         return self._reducers[c].rank
 
     def contains(self, x: TensorClass, c: int) -> bool:
+        self._bases[0][0]._check_compatible(x)
         self._grow(c)
         return self._reducers[c].contains(x.terms)
 

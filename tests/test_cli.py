@@ -60,6 +60,12 @@ def test_list_unreadable_catalog(capsys, tmp_path):
      '"mck_status": "new_in_paper"}', "line 2: field 'label' must be a string"),
     ('{"label": "x", "index": 2, "degree": 2, "h12": 1, "description": ["a"], '
      '"mck_status": "new_in_paper"}', "line 2: field 'description' must be a string"),
+    ('{"label": oops}', "catalog line 2: Expecting value at column 11"),
+    ('{"label": "x", "index": 2, "degree": 2, "h12": 1, "description": "d", '
+     '"mck_status": ["trivial"]}', "catalog line 2: unknown mck_status ['trivial']"),
+    ('{"label": "x", "index": 2, "degree": 2, "h12": 0, "description": "d", '
+     '"mck_status": "new_in_paper"}',
+     "catalog line 2: mck_status is 'trivial' exactly when h12 = 0"),
 ])
 def test_list_malformed_catalog_record(capsys, tmp_path, line, message):
     path = tmp_path / "cat.jsonl"
@@ -67,6 +73,17 @@ def test_list_malformed_catalog_record(capsys, tmp_path, line, message):
     code, out, err = run(capsys, "list", "--catalog", str(path))
     assert code == 2 and out == ""
     assert message in json.loads(err)["error"]
+
+
+def test_list_duplicate_label_names_both_lines(capsys, tmp_path):
+    row = {"label": "x", "index": 2, "degree": 2, "h12": 1, "description": "d",
+           "mck_status": "new_in_paper"}
+    path = tmp_path / "cat.jsonl"
+    path.write_text("".join(json.dumps({**row, "label": label}) + "\n"
+                            for label in ("x", "y", "x")), encoding="utf-8")
+    code, out, err = run(capsys, "list", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "catalog line 3: duplicate label 'x' (first on line 1)"
 
 
 def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):

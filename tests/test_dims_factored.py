@@ -78,7 +78,7 @@ def test_poincare_symmetry(b):
         assert dims == dims[::-1] and dims[0] == dims[-1] == 1, m
 
 
-@pytest.mark.parametrize("b,m", [(1, 4), (1, 5), (2, 4)])
+@pytest.mark.parametrize("b,m", [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (3, 4)])
 def test_matches_tensor_oracle(b, m):
     span = SubalgebraSpan(CohomologyModel(2, b), m)
     dims = TautRing(RingParams(2, b, m)).graded_dimensions()

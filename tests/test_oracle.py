@@ -184,6 +184,14 @@ class TestSpanDimension:
                 with pytest.raises(ValueError, match="out of range"):
                     call(c)
 
+    def test_contains_rejects_other_power_or_model(self):
+        mod = model(d=2, b=1)
+        span = SubalgebraSpan(mod, 2)
+        for x in (TensorClass(mod, 3), realize(("h", 1), CohomologyModel(5, 1), 2)):
+            with pytest.raises(ValueError, match="different models or powers"):
+                span.contains(x, 1)
+        assert span.contains(realize(("h", 1), mod, 2), 1)
+
     def test_pure_tau_span_at_c6_m4(self):
         mod = model(b=1)
         vecs = []
