@@ -33,7 +33,7 @@ def _params_from_args(args) -> tuple[int, int, str | None]:
         try:
             rec = catalog_get(args.label, load_catalog(getattr(args, "catalog", None)))
         except KeyError as exc:
-            raise CliError(str(exc)) from None
+            raise CliError(exc.args[0]) from None
         return rec.degree, rec.h12, rec.label
     if args.d is None or args.b is None:
         raise CliError("supply either --label or both --d and --b")
@@ -60,7 +60,7 @@ def cmd_get(args) -> int:
     try:
         rec = catalog_get(args.label, load_catalog(args.catalog))
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
     print(json.dumps(rec.to_dict()))
     return 0
 

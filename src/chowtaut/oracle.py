@@ -25,7 +25,7 @@ from operator import add
 from typing import Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
-from .ring import RingParams, accumulate, perfect_matchings
+from .ring import RingParams, accumulate
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -283,12 +283,33 @@ def _sign(lhs: TensorClass, rhs: TensorClass, message: str) -> int:
     raise ValueError(message)
 
 
+def tau_matching_sum(model: CohomologyModel, slots: tuple[int, ...], m: int) -> TensorClass:
+    """Sum over the perfect matchings M of slots of prod_{(i,j) in M} tau_{i,j}, on Y^m.
+
+    Expanded along the first slot, as a hafnian is:
+    S(i, rest) = sum_j tau_{i,j} * S(rest without j), and S() = 1.  This is
+    distributivity only.  Each tau has even degree, so the factors commute and
+    no sign is added here; the Koszul signs stay inside tensor_multiply.
+    """
+    if not slots:
+        return tensor_unit(model, m)
+    first, rest = slots[0], slots[1:]
+    total: dict[tuple[int, ...], Rational] = {}
+    for k, j in enumerate(rest):
+        prod = tensor_multiply(realize(("tau", first, j), model, m),
+                               tau_matching_sum(model, rest[:k] + rest[k + 1:], m))
+        for key, c in prod.terms.items():
+            accumulate(total, key, c)
+    return TensorClass(model, m, total)
+
+
 def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> AdjudicationReport:
     """Read the signs of the tau relations off the tensor model.
 
     Returns the sign s2 with tau^2 = s2 * 2b * o_1 o_2, the sign s3 with
     tau_{1,2} tau_{1,3} = s3 * tau_{2,3} o_1, and verifies that the plain
-    (unsigned) sum over perfect matchings of 2b+2 indices vanishes.
+    (unsigned) sum over perfect matchings of 2b+2 indices vanishes
+    (:func:`tau_matching_sum`).
     """
     if model.b < 1:
         raise ValueError("sign adjudication needs b >= 1")
@@ -304,12 +325,7 @@ def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> Adjudica
     eps3 = _sign(lhs, rhs, "tau_{1,2} tau_{1,3} is not proportional to tau_{2,3} o_1")
     # symmetrized vanishing on Y^(2b+2)
     n = 2 * model.b + 2
-    total: dict[tuple[int, ...], Rational] = {}
-    for matching in perfect_matchings(list(range(1, n + 1))):
-        prod = tensor_product_all([realize(("tau", i, j), model, n) for i, j in matching])
-        for key, c in prod.terms.items():
-            accumulate(total, key, c)
-    sym_ok = not total
+    sym_ok = tau_matching_sum(model, tuple(range(1, n + 1)), n).is_zero()
     dims: tuple[tuple[int, int], ...] = ()
     if with_dims:
         span = SubalgebraSpan(model, 2)

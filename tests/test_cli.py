@@ -37,9 +37,15 @@ def test_get(capsys):
     assert rec["degree"] == 2 and rec["h12"] == 10
 
 def test_get_unknown_label(capsys):
-    code, _, err = run(capsys, "get", "nope")
-    assert code == 2
-    assert "error" in json.loads(err)
+    code, out, err = run(capsys, "get", "nope")
+    assert code == 2 and out == ""
+    assert err == '{"error": "no Fano threefold with label \'nope\'"}\n'
+
+
+def test_verify_mck_unknown_label(capsys):
+    code, out, err = run(capsys, "verify-mck", "--label", "nope")
+    assert code == 2 and out == ""
+    assert err == '{"error": "no Fano threefold with label \'nope\'"}\n'
 
 
 def test_list_unreadable_catalog(capsys, tmp_path):

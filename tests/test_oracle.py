@@ -135,7 +135,7 @@ class TestRewriteRulesHoldInModel:
 
 
 class TestAdjudication:
-    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 3])
     def test_signs(self, b):
         rep = adjudicate_signs(model(b=b))
         assert rep.eps2 == -1
