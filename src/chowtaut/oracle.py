@@ -290,7 +290,11 @@ def tau_matching_sum(model: CohomologyModel, slots: tuple[int, ...], m: int) -> 
     S(i, rest) = sum_j tau_{i,j} * S(rest without j), and S() = 1.  This is
     distributivity only.  Each tau has even degree, so the factors commute and
     no sign is added here; the Koszul signs stay inside tensor_multiply.
+    An odd number of slots, or a repeated slot, has no perfect matching and
+    raises ValueError rather than returning an empty sum.
     """
+    if len(slots) % 2 or len(set(slots)) != len(slots):
+        raise ValueError(f"slots {slots} admit no perfect matching")
     if not slots:
         return tensor_unit(model, m)
     first, rest = slots[0], slots[1:]

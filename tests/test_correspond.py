@@ -6,6 +6,7 @@ import pytest
 
 from chowtaut.correspond import (
     Correspondence,
+    ProjectorSet,
     big_diagonal,
     ck_projectors,
     identity_correspondence,
@@ -169,6 +170,28 @@ class TestProjectors:
         with pytest.raises(TypeError):
             RingParams(2, 1, 2, eps3=-1)
 
+    def test_projector_from_y2_to_y_rejected(self):
+        # verify_ck and verify_mck multiply the classes as they stand on Y^2 and
+        # Y^3/Y^4, so an entry of another arity would give a meaningless verdict
+        p = params()
+        pi = list(ck_projectors(p).pi)
+        p3 = RingParams(p.d, p.b, 3)
+        pi[1] = Correspondence(p3, 2, 1, small_diagonal(TautRing(p3)))
+        with pytest.raises(ValueError, match="Y -> Y"):
+            ProjectorSet(tuple(pi))
+
+    def test_projectors_of_two_degrees_rejected(self):
+        pi = list(ck_projectors(params(d=2, b=1)).pi)
+        pi[3] = ck_projectors(params(d=3, b=1)).pi[3]
+        with pytest.raises(ValueError, match="one RingParams"):
+            ProjectorSet(tuple(pi))
+
+    def test_non_correspondence_rejected(self):
+        pi = list(ck_projectors(params()).pi)
+        pi[0] = pi[0].cls
+        with pytest.raises(ValueError, match="Y -> Y"):
+            ProjectorSet(tuple(pi))
+
     def test_action_on_model_lines(self):
         # pi^{2j} is the identity on the h^j-line and zero elsewhere;
         # pi^3 is the identity on the odd part.
@@ -211,6 +234,33 @@ class TestVerifyCK:
         idem0 = next(c for c in report.checks if c.name == "pi^0 o pi^0 = pi^0")
         assert not idem0.ok
         assert idem0.residual == "2*o_1"
+
+    @pytest.mark.parametrize("d,b", [(2, 0), (2, 1), (3, 5)])
+    def test_matches_compose(self, d, b):
+        # each check is one product on Y^3, equal to the generic compose
+        ps = ck_projectors(params(d=d, b=b))
+        report = verify_ck(ps)
+        assert [c.residual for c in report.checks[:49]] == ck_by_compose(ps)
+        assert report.passed
+
+    def test_sabotage_matches_compose(self):
+        p = params(d=2, b=1)
+        pi = list(ck_projectors(p).pi)
+        pi[0] = Correspondence(p, 1, 1, pi[0].cls.scale(2))
+        pi[3] = Correspondence(p, 1, 1, TautRing(p).tau(1, 2).scale(2))
+        bad = ProjectorSet(tuple(pi))
+        report = verify_ck(bad)
+        residuals = ck_by_compose(bad)
+        assert [c.residual for c in report.checks[:49]] == residuals
+        assert [c.ok for c in report.checks[:49]] == [r == "0" for r in residuals]
+        assert not report.passed
+
+    def test_checks_do_not_go_through_compose(self, monkeypatch):
+        def no_compose(*args):
+            raise AssertionError("compose called")
+
+        monkeypatch.setattr(Correspondence, "compose", no_compose)
+        assert verify_ck(ck_projectors(params(d=2, b=3))).passed
 
 
 class TestSmallDiagonal:
@@ -292,6 +342,19 @@ class TestVerifyMCK:
         assert [e.value for e in report.entries] == mck_on_y6(bad)
         assert not report.passed
 
+    def test_odd_legs_match_small_diagonal_on_y6(self):
+        # nonzero pi^1 and pi^5 make leg pairs that vanish for the CK projectors
+        # nonzero, so those rows take the full path instead of stopping early
+        p = params(d=2, b=1)
+        ps = ck_projectors(p)
+        pi = list(ps.pi)
+        pi[1] = pi[5] = Correspondence(p, 1, 1, TautRing(p).o(1))
+        bad = ProjectorSet(tuple(pi))
+        report = verify_mck(bad)
+        assert [e.value for e in report.entries] == mck_on_y6(bad)
+        assert not report.passed
+        assert not report.entry(1, 1, 0).value.is_zero()  # i + j = 2 != 0: fails MCK
+
     def test_entry_000_reported_not_asserted(self):
         report = verify_mck(ck_projectors(params(d=2, b=1)))
         e = report.entry(0, 0, 0)
@@ -327,6 +390,15 @@ def model_apply(corr: TensorClass, x: TensorClass, mod) -> TensorClass:
         if key[0] == 3:  # e6 integrates to 1; anything else to 0
             out_terms[(key[1],)] = out_terms.get((key[1],), Fraction(0)) + c
     return TensorClass(mod, 1, {k: v for k, v in out_terms.items() if v})
+
+
+def ck_by_compose(ps):
+    """Residuals of the 49 composition checks of verify_ck, by the generic compose."""
+    residuals = []
+    for i, j in itertools.product(range(7), repeat=2):
+        want = ps.pi[i].cls if i == j else CycleClass()
+        residuals.append(str(ps.pi[j].compose(ps.pi[i]).cls - want))
+    return residuals
 
 
 def mck_on_y6(ps):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chowtaut import oracle
 from chowtaut.oracle import (
     CohomologyModel,
     TensorClass,
@@ -64,3 +65,15 @@ def test_one_negated_matching_is_detected(b):
     for model in models(b):
         assert matching_by_matching(model, slots, m).is_zero()
         assert not matching_by_matching(model, slots, m, negate_first=True).is_zero()
+
+
+@pytest.mark.parametrize("slots", [(1,), (1, 2, 3), (1, 2, 3, 4, 5), (1, 1), (1, 2, 3, 2)])
+def test_slots_without_perfect_matching_rejected_before_any_product(slots, monkeypatch):
+    # an odd or repeated slot tuple has no perfect matching; an empty sum would
+    # read as "the relation holds" although no product was checked
+    def no_product(*args):
+        raise AssertionError("tensor_multiply called")
+
+    monkeypatch.setattr(oracle, "tensor_multiply", no_product)
+    with pytest.raises(ValueError, match="no perfect matching"):
+        tau_matching_sum(CohomologyModel(2, 1), slots, 5)
