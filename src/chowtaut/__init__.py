@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .ring import CycleClass, Monomial, RingParams, TautRing  # noqa: F401
-from .oracle import CohomologyModel, adjudicate_signs, span_dimension  # noqa: F401
+from .oracle import CohomologyModel, SubalgebraSpan, adjudicate_signs  # noqa: F401
 from .correspond import (  # noqa: F401
     Correspondence,
     ProjectorSet,

@@ -331,42 +331,22 @@ def _canonical(sym: Symbol, identify_triple: bool) -> Symbol:
     return min(sym, comp)  # type: ignore[return-value]
 
 
-class InvolutionWord:
-    """Formal rational combination of symbols (g1, g2, g3) * Delta^sm."""
-
-    def __init__(self, identify_triple: bool = True):
-        self.identify_triple = identify_triple
-        self.terms: dict[Symbol, Fraction] = {}
-
-    def add(self, sym: Symbol, coeff: Fraction) -> None:
-        accumulate(self.terms, _canonical(sym, self.identify_triple), coeff)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def involution_expansion(sign: int = -1, identify_triple: bool = True) -> InvolutionWord:
+def involution_expansion(sign: int = -1, identify_triple: bool = True) -> dict[Symbol, Fraction]:
     """Expand (1/8)(Delta + sign*G) o Delta^sm o ((Delta + sign*G) x (Delta + sign*G)).
 
     G is the graph of the covering involution; sign=-1 is the projector onto
     the anti-invariant motive.  Lieberman's lemma turns the expansion into
-    the eight signed symbols (g1, g2, g3) * Delta^sm.
+    the eight signed symbols (g1, g2, g3) * Delta^sm, summed here in canonical
+    form; the empty dict is the zero word.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    word = InvolutionWord(identify_triple)
-    for g1, g2, g3 in itertools.product((False, True), repeat=3):
-        coeff = Fraction(1, 8)
-        for g in (g1, g2, g3):
-            if g:
-                coeff *= sign
-        word.add((g1, g2, g3), coeff)
+    word: dict[Symbol, Fraction] = {}
+    for sym in itertools.product((False, True), repeat=3):
+        accumulate(word, _canonical(sym, identify_triple), Fraction(sign ** sum(sym), 8))
     return word
 
 
 def involution_check() -> bool:
     """The anti-invariant part composed through the small diagonal vanishes."""
-    return involution_expansion(sign=-1, identify_triple=True).is_zero()
+    return not involution_expansion(sign=-1, identify_triple=True)

@@ -29,15 +29,14 @@ class ExprSyntaxError(ValueError):
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
-      (?P<gen>(?:tau|t|h|o)_(?:\{\s*\d+\s*,\s*\d+\s*\}|\d+))
+      (?P<gen>(?P<name>tau|t|h|o)_(?:\{\s*(?P<pair>\d+\s*,\s*\d+)\s*\}|(?P<index>\d+)))
     | (?P<nat>\d+)
     | (?P<op>[-+*/^()])
     )""", re.VERBOSE)
 
-_GEN_RE = re.compile(r"(tau|t|h|o)_(?:\{\s*(\d+)\s*,\s*(\d+)\s*\}|(\d+))")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str, int, re.Match | None]]:
+    """(kind, text, position, match) per token; the match gives a generator's parts."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -49,9 +48,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             bad = pos + len(rest) - len(rest.lstrip())
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
         if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup), m))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", len(text), None))
     return tokens
 
 
@@ -71,19 +70,19 @@ class _Parser:
         return tok
 
     def expect_op(self, op: str):
-        kind, val, pos = self.next()
+        kind, val, pos, _ = self.next()
         if kind != "op" or val != op:
             raise ExprSyntaxError(f"expected {op!r}", pos)
 
     def parse(self) -> CycleClass:
         value = self.expr()
-        kind, val, pos = self.peek()
+        kind, val, pos, _ = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {val!r}", pos)
         return value
 
     def expr(self) -> CycleClass:
-        kind, val, _ = self.peek()
+        kind, val, *_ = self.peek()
         negate = False
         if kind == "op" and val in "+-":
             self.next()
@@ -92,7 +91,7 @@ class _Parser:
         if negate:
             acc = -acc
         while True:
-            kind, val, _ = self.peek()
+            kind, val, *_ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
@@ -103,7 +102,7 @@ class _Parser:
     def term(self) -> CycleClass:
         acc = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, *_ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
                 acc = self.ring.multiply(acc, self.factor())
@@ -112,40 +111,38 @@ class _Parser:
 
     def factor(self) -> CycleClass:
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, *_ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            k, v, pos = self.next()
+            k, v, pos, _ = self.next()
             if k != "nat":
                 raise ExprSyntaxError("expected a natural number exponent", pos)
             return self.ring.power(base, int(v))
         return base
 
     def atom(self) -> CycleClass:
-        kind, val, pos = self.next()
+        kind, val, pos, m = self.next()
         if kind == "nat":
             num = int(val)
-            k, v, _ = self.peek()
+            k, v, *_ = self.peek()
             if k == "op" and v == "/":
                 self.next()
-                k2, v2, pos2 = self.next()
+                k2, v2, pos2, _ = self.next()
                 if k2 != "nat" or int(v2) == 0:
                     raise ExprSyntaxError("expected a nonzero denominator", pos2)
                 return self.ring.scalar(Fraction(num, int(v2)))
             return self.ring.scalar(num)
         if kind == "gen":
-            m = _GEN_RE.fullmatch(val)
-            assert m is not None
-            name = m.group(1)
+            name, pair, index = m.group("name", "pair", "index")
             if name in ("t", "tau"):
-                if m.group(2) is None:
+                if pair is None:
                     raise ExprSyntaxError("tau needs a pair of indices", pos)
-                make = lambda: self.ring.tau(int(m.group(2)), int(m.group(3)))
+                make = lambda: self.ring.tau(*map(int, pair.split(",")))
             else:
-                if m.group(4) is None:
+                if index is None:
                     raise ExprSyntaxError(f"{name} takes a single index", pos)
                 gen = self.ring.h if name == "h" else self.ring.o
-                make = lambda: gen(int(m.group(4)))
+                make = lambda: gen(int(index))
             try:
                 return make()
             except ValueError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 Rational = int | Fraction
 
@@ -91,10 +90,3 @@ class SparseRowBasis:
             row = {k: -v for k, v in row.items()}
         self.pivots[lead] = row
         return True
-
-
-def exact_rank(vectors: Iterable[dict]) -> int:
-    basis = SparseRowBasis()
-    for v in vectors:
-        basis.add(v)
-    return basis.rank

@@ -25,7 +25,7 @@ from operator import add
 from typing import Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
-from .ring import RingParams, accumulate
+from .ring import accumulate
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -200,13 +200,6 @@ def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
     return TensorClass(x.model, x.m, out)
 
 
-def tensor_product_all(classes: Sequence[TensorClass]) -> TensorClass:
-    acc = tensor_unit(classes[0].model, classes[0].m)
-    for x in classes:
-        acc = tensor_multiply(acc, x)
-    return acc
-
-
 def tensor_integrate(x: TensorClass) -> Rational:
     """Coefficient of the full point class e6 (x) ... (x) e6."""
     return x.terms.get((E6,) * x.m, 0)
@@ -250,8 +243,10 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
 
 
 def realize_monomial(mon, model: CohomologyModel, m: int) -> TensorClass:
-    return tensor_product_all([realize(g, model, m) for g in mon.generators()]) \
-        if mon.generators() else tensor_unit(model, m)
+    acc = tensor_unit(model, m)
+    for g in mon.generators():
+        acc = tensor_multiply(acc, realize(g, model, m))
+    return acc
 
 
 # -- sign adjudication ------------------------------------------------------
@@ -307,13 +302,14 @@ def tau_matching_sum(model: CohomologyModel, slots: tuple[int, ...], m: int) -> 
     return TensorClass(model, m, total)
 
 
-def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> AdjudicationReport:
+def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
     """Read the signs of the tau relations off the tensor model.
 
     Returns the sign s2 with tau^2 = s2 * 2b * o_1 o_2, the sign s3 with
     tau_{1,2} tau_{1,3} = s3 * tau_{2,3} o_1, and verifies that the plain
     (unsigned) sum over perfect matchings of 2b+2 indices vanishes
-    (:func:`tau_matching_sum`).
+    (:func:`tau_matching_sum`), and reports the dimensions of the generated
+    subalgebra of H*(Y^2) in codims 0..6.
     """
     if model.b < 1:
         raise ValueError("sign adjudication needs b >= 1")
@@ -330,10 +326,8 @@ def adjudicate_signs(model: CohomologyModel, with_dims: bool = True) -> Adjudica
     # symmetrized vanishing on Y^(2b+2)
     n = 2 * model.b + 2
     sym_ok = tau_matching_sum(model, tuple(range(1, n + 1)), n).is_zero()
-    dims: tuple[tuple[int, int], ...] = ()
-    if with_dims:
-        span = SubalgebraSpan(model, 2)
-        dims = tuple((c, span.dimension(c)) for c in range(7))
+    span = SubalgebraSpan(model, 2)
+    dims = tuple((c, span.dimension(c)) for c in range(7))
     return AdjudicationReport(model.b, eps2, eps3, sym_ok, dims)
 
 
@@ -419,9 +413,3 @@ class SubalgebraSpan:
         self._bases[0][0]._check_compatible(x)
         self._grow(c)
         return self._reducers[c].contains(x.terms)
-
-
-def span_dimension(p: RingParams, c: int, model: CohomologyModel | None = None) -> int:
-    """Dimension of the degree-2c piece of the generated subalgebra of H*(Y^m)."""
-    model = model or CohomologyModel(p.d, p.b)
-    return SubalgebraSpan(model, p.m).dimension(c)

@@ -392,30 +392,27 @@ class TautRing:
             for matching in perfect_matchings(S)
         })
 
-    def relator_index_sets(self) -> Iterator[tuple[int, ...]]:
-        n = 2 * self.p.b + 2
-        if self.p.m < n:
-            return iter(())
-        return itertools.combinations(range(1, self.p.m + 1), n)
-
     # -- graded pieces ---------------------------------------------------
 
     def graded_basis(self, c: int) -> list[Monomial]:
-        """All normal-form monomials of codimension c, in canonical key order."""
-        if not 0 <= c <= 3 * self.p.m:
-            raise ValueError(f"codimension {c} out of range 0..{3 * self.p.m}")
+        """All normal-form monomials of codimension c, in canonical key order.
+
+        A monomial is a perfect matching of its even-size tau support times a
+        weight in {0,1,2,3} on each other factor (3 encodes the o flag).
+        """
+        m = self.p.m
+        if not 0 <= c <= 3 * m:
+            raise ValueError(f"codimension {c} out of range 0..{3 * m}")
         out: list[Monomial] = []
-        indices = list(range(1, self.p.m + 1))
-        for matching in partial_matchings(indices):
-            rest = sorted(set(indices) - {x for pr in matching for x in pr})
-            need = c - 3 * len(matching)
-            if need < 0 or need > 3 * len(rest):
-                continue
-            taus = tuple(sorted(matching))
-            for weights in _weight_assignments(len(rest), need):
-                h = tuple((i, w) for i, w in zip(rest, weights) if w in (1, 2))
-                o = tuple(i for i, w in zip(rest, weights) if w == 3)
-                out.append(Monomial(h=h, o=o, tau=taus))
+        for q in range(min(m // 2, c // 3) + 1):
+            weights = [ws for ws in itertools.product(range(4), repeat=m - 2 * q)
+                       if sum(ws) == c - 3 * q]
+            for support in itertools.combinations(range(1, m + 1), 2 * q):
+                rest = [i for i in range(1, m + 1) if i not in support]
+                parts = [(tuple((i, w) for i, w in zip(rest, ws) if w in (1, 2)),
+                          tuple(i for i, w in zip(rest, ws) if w == 3)) for ws in weights]
+                for matching in perfect_matchings(support):
+                    out.extend(Monomial(h=h, o=o, tau=tuple(matching)) for h, o in parts)
         out.sort(key=Monomial.key)
         return out
 
@@ -426,7 +423,7 @@ class TautRing:
             return []
         vecs = []
         lower = self.graded_basis(c - rc)
-        for S in self.relator_index_sets():
+        for S in itertools.combinations(range(1, self.p.m + 1), 2 * self.p.b + 2):
             rel = self.sym_relator(S)
             for mu in lower:
                 v = self.multiply(rel, CycleClass({mu: 1}))
@@ -610,21 +607,6 @@ def perfect_matchings(items: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, partner)] + sub
 
 
-def partial_matchings(items: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
-    """All partial matchings (sets of disjoint pairs), including the empty one."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in partial_matchings(rest):
-        yield sub
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        for sub in partial_matchings(remaining):
-            yield [(first, partner)] + sub
-
-
 def symplectic_invariant_counts(b: int, pmax: int) -> list[int]:
     """I_b(p) for p = 0..pmax: perfect matchings of 2p points with no (b+1)-crossing.
 
@@ -654,15 +636,3 @@ def symplectic_invariant_counts(b: int, pmax: int) -> list[int]:
         if step % 2 == 0:
             counts.append(layer.get((), 0))
     return counts
-
-
-def _weight_assignments(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Tuples in {0,1,2,3}^n summing to total (3 encodes the o flag)."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for w in range(min(3, total) + 1):
-        if total - w <= 3 * (n - 1):
-            for rest in _weight_assignments(n - 1, total - w):
-                yield (w,) + rest

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import time
@@ -254,6 +255,27 @@ def test_adjudicate_randomized_stable(capsys):
     code, out, _ = run(capsys, "adjudicate", "--b", "1", "--randomized", "3")
     assert code == 0
     assert json.loads(out)["stable"] is True
+
+
+def test_adjudicate_randomized_compares_dims(capsys, monkeypatch):
+    # The first randomized basis reports the same signs but different Y^2 dims.
+    real = cli.adjudicate_signs
+    calls = []
+
+    def dims_differ_once(model):
+        report = real(model)
+        calls.append(model)
+        if len(calls) == 2:
+            return dataclasses.replace(report, dims=report.dims[:-1] + ((6, 2),))
+        return report
+
+    monkeypatch.setattr(cli, "adjudicate_signs", dims_differ_once)
+    code, out, _ = run(capsys, "adjudicate", "--b", "1", "--randomized", "2")
+    assert len(calls) == 3
+    rep = json.loads(out)
+    assert rep["sym_relation_verified"] is True
+    assert rep["stable"] is False and rep["passed"] is False
+    assert code == 1
 
 
 def test_version(capsys):

@@ -10,7 +10,7 @@ from chowtaut.oracle import (
     TensorClass,
     realize,
     tau_matching_sum,
-    tensor_product_all,
+    tensor_multiply,
     tensor_unit,
 )
 from chowtaut.ring import accumulate, perfect_matchings
@@ -20,8 +20,9 @@ def matching_by_matching(model, slots, m, negate_first=False):
     """Reference: each matching's product of taus formed on its own, then all added."""
     total = {}
     for n, matching in enumerate(perfect_matchings(slots)):
-        prod = tensor_product_all([realize(("tau", i, j), model, m) for i, j in matching]) \
-            if matching else tensor_unit(model, m)
+        prod = tensor_unit(model, m)
+        for i, j in matching:
+            prod = tensor_multiply(prod, realize(("tau", i, j), model, m))
         for key, c in prod.terms.items():
             accumulate(total, key, -c if negate_first and n == 0 else c)
     return TensorClass(model, m, total)

@@ -12,7 +12,6 @@ from chowtaut.ring import (
     Monomial,
     RingParams,
     TautRing,
-    partial_matchings,
     perfect_matchings,
     reduce_with_order,
     relabel,
@@ -257,6 +256,22 @@ class TestGradedBasis:
             assert len(set(keys)) == len(keys)
             assert all(m.codim == c for m in basis)
 
+    def test_size_is_relator_free_count(self):
+        # sum_p C(m,2p) (2p-1)!! x^(3p) (1+x+x^2+x^3)^(m-2p): a tau support of
+        # size 2p carries one of its (2p-1)!! perfect matchings, every other
+        # factor one of 1, h, h^2, o.
+        for m in range(1, 7):
+            series = [0] * (3 * m + 1)
+            for p in range(m // 2 + 1):
+                free = [1]
+                for _ in range(m - 2 * p):
+                    free = [sum(free[max(0, c - 3):c + 1]) for c in range(len(free) + 3)]
+                weight = math.comb(m, 2 * p) * math.prod(range(1, 2 * p, 2))
+                for c, n in enumerate(free):
+                    series[3 * p + c] += weight * n
+            r = ring(m=m)
+            assert [len(r.graded_basis(c)) for c in range(3 * m + 1)] == series, m
+
 
 class TestGradedDimension:
     def test_m2_profile(self):
@@ -358,11 +373,6 @@ class TestRelabel:
 class TestCombinatorics:
     def test_perfect_matching_count(self):
         assert len(list(perfect_matchings(range(6)))) == 15
-
-    def test_partial_matching_count(self):
-        # involution numbers: 1, 1, 2, 4, 10, 26
-        assert len(list(partial_matchings(range(4)))) == 10
-        assert len(list(partial_matchings(range(5)))) == 26
 
 
 # -- helpers ---------------------------------------------------------------
