@@ -21,17 +21,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
-from typing import Sequence
+from math import factorial, prod
+from typing import Iterator, Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
 from .ring import accumulate
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
-# DEGREE[min(id, 4)] is the degree of a basis element; H*(Y) is nonzero in SLOT_DEGREES
-DEGREE = (0, 2, 4, 6, 3)
-SLOT_DEGREES = frozenset(DEGREE)
 
 Matrix = tuple[tuple[Rational, ...], ...]
 
@@ -334,82 +331,112 @@ def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
 # -- generated subalgebra ---------------------------------------------------
 
 
-def _slot_degrees(x: TensorClass) -> tuple[int, ...]:
-    """Degree in each slot of a nonzero multi-homogeneous class, read off one term."""
-    return tuple(DEGREE[min(i, 4)] for i in next(iter(x.terms)))
+def loopless_multigraphs(degrees: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every loopless multigraph on vertices 0..n-1 with the given degrees, once each.
+
+    A multigraph is given as its sorted edge list.  The first vertex with degree
+    left takes all of its remaining edges at once, as a multiset of later
+    partners, so each multigraph arises from exactly one sequence of choices.
+    An odd degree sum gives none.
+    """
+    left = list(degrees)
+    n = len(left)
+
+    def walk(i: int):
+        while i < n and not left[i]:
+            i += 1
+        if i == n:
+            yield ()
+            return
+        need, left[i] = left[i], 0
+        later = [j for j in range(i + 1, n) if left[j]]
+        for partners in itertools.combinations_with_replacement(later, need):
+            if all(partners.count(j) <= left[j] for j in set(partners)):
+                for j in partners:
+                    left[j] -= 1
+                for rest in walk(i + 1):
+                    yield tuple((i, j) for j in partners) + rest
+                for j in partners:
+                    left[j] += 1
+        left[i] = need
+
+    return walk(0)
 
 
 class SubalgebraSpan:
     """Graded span of the subalgebra of H*(Y^m) generated by the realized classes.
 
-    Built from standard monomials; README.md, "The tensor model", has the method.
+    dimension(c) = sum of multinomial(m; n0, n2, n4, n3, n6) * r(n3, n6) over the
+    slot-degree counts with 2 n2 + 4 n4 + 3 n3 + 6 n6 = 2c, where r(s, u) is the rank
+    on Y^(s+u) of the monomials of slot degree 3 at slots 1..s and 6 at the u
+    after them.  This is exact:
+
+    - every generator is multi-homogeneous in the slot degrees, so codim c is
+      the direct sum of its slot-degree blocks;
+    - permuting slots is an automorphism that maps each generator to a
+      generator up to sign, so a block's rank depends only on the counts;
+    - a slot of degree 0, 2 or 4 carries the fixed even class 1, h or h^2 in
+      every monomial of its block, so it drops out;
+    - at a slot of degree 6 with no tau, h^3 = d * o with d >= 1, so the o fill
+      spans what the h^3 fill spans.
+
+    Ranks are memoized on the instance and computed only for blocks that occur
+    in a requested codim.  README.md, "The tensor model", has the argument.
     """
 
     def __init__(self, model: CohomologyModel, m: int):
         self.model = model
         self.m = m
-        gens = [("h", i) for i in range(1, m + 1)]
-        gens += [("o", i) for i in range(1, m + 1)]
-        gens += [("tau", i, j) for i, j in itertools.combinations(range(1, m + 1), 2)]
-        # (slot degrees, tensor); a zero generator (tau at b = 0) spans nothing
-        self._gens = [(_slot_degrees(t), t) for g in gens
-                      if not (t := realize(g, model, m)).is_zero()]
-        unit = tensor_unit(model, m)
-        self._bases: list[list[TensorClass]] = [[unit]]
-        # Basis class i of codim c > 0 is class parents[c][i] of codim c - codim(g) times
-        # generator g = lasts[c][i]: its word, the nondecreasing tuple of its generator
-        # indices, is the parent's word followed by g.  The unit's entries are 0, so any
-        # generator may follow its empty word.
-        self._parents: list[list[int]] = [[0]]
-        self._lasts: list[list[int]] = [[0]]
-        self._reducers: list[SparseRowBasis] = [SparseRowBasis()]
-        self._reducers[0].add(unit.terms)
-
-    def _grow(self, c: int) -> None:
-        if not 0 <= c <= 3 * self.m:
-            raise ValueError(f"codimension {c} out of range 0..{3 * self.m}")
-        while len(self._bases) <= c:
-            k = len(self._bases)
-            reducer = SparseRowBasis()
-            basis: list[TensorClass] = []
-            parents: list[int] = []
-            lasts: list[int] = []
-            # Codim k is filled greedily in increasing monomial order: fewer h first, then
-            # lex with generator 0 heaviest.  The kept words are then the standard
-            # monomials (Macaulay's basis theorem), so each is a kept word times a generator
-            # no earlier than its last letter.  Those candidates come in order unsorted:
-            # a word times an o or a tau (from codim k - 3) has fewer h than an h word times
-            # an h (from codim k - 1), each codim keeps its words in order, and for one word
-            # a later generator comes first.  None that vanishes by slot degree is formed.
-            for src, codim in ((k - 3, 3), (k - 1, 1)):
-                if src < 0:
-                    continue
-                run = [g for g, (gdeg, _) in enumerate(self._gens) if sum(gdeg) == 2 * codim]
-                for x, (last, cls) in enumerate(zip(self._lasts[src], self._bases[src])):
-                    xdeg = _slot_degrees(cls)
-                    for g in reversed(run):
-                        if g < last:
-                            break
-                        if SLOT_DEGREES.issuperset(map(add, xdeg, self._gens[g][0])):
-                            v = tensor_multiply(cls, self._gens[g][1])
-                            if reducer.add(v.terms):
-                                basis.append(v)
-                                parents.append(x)
-                                lasts.append(g)
-            self._bases.append(basis)
-            self._parents.append(parents)
-            self._lasts.append(lasts)
-            self._reducers.append(reducer)
-
-    def basis(self, c: int) -> list[TensorClass]:
-        self._grow(c)
-        return self._bases[c]
+        self._ranks: dict[tuple[int, int], int] = {}
 
     def dimension(self, c: int) -> int:
-        self._grow(c)
-        return self._reducers[c].rank
+        m = self.m
+        if not 0 <= c <= 3 * m:
+            raise ValueError(f"codimension {c} out of range 0..{3 * m}")
+        total = 0
+        for n3 in range(0, m + 1, 2):
+            for n6 in range(m - n3 + 1):
+                rest = 2 * c - 3 * n3 - 6 * n6  # 2 n2 + 4 n4
+                weight = 0
+                for n4 in range(rest // 4 + 1):
+                    n2 = rest // 2 - 2 * n4
+                    n0 = m - n3 - n6 - n2 - n4
+                    if n0 >= 0:
+                        weight += factorial(m) // prod(map(factorial, (n0, n2, n4, n3, n6)))
+                if weight:
+                    total += weight * self._rank(n3, n6)
+        return total
 
-    def contains(self, x: TensorClass, c: int) -> bool:
-        self._bases[0][0]._check_compatible(x)
-        self._grow(c)
-        return self._reducers[c].contains(x.terms)
+    def _rank(self, s: int, u: int) -> int:
+        """r(s, u), stopping once it reaches (2b)^s, the dimension of its block of H*(Y^(s+u))."""
+        if (s, u) not in self._ranks:
+            rows = SparseRowBasis()
+            full = (2 * self.model.b) ** s
+            for x in self._block(s, u):
+                rows.add(x.terms)
+                if rows.rank == full:
+                    break
+            self._ranks[s, u] = rows.rank
+        return self._ranks[s, u]
+
+    def _block(self, s: int, u: int) -> Iterator[TensorClass]:
+        """Every monomial of slot degree (3^s, 6^u) on Y^(s+u), o fill first.
+
+        Each of the u slots has tau degree 0 (filled by o) or 2; the taus form a
+        loopless multigraph with degree 1 at each of the s slots.
+        """
+        model, n = self.model, s + u
+        taus = {(i, j): realize(("tau", i, j), model, n)
+                for i, j in itertools.combinations(range(1, n + 1), 2)}
+        for k in range(u + 1):
+            for paired in itertools.combinations(range(s + 1, n + 1), k):
+                fill = tensor_unit(model, n)
+                for i in range(s + 1, n + 1):
+                    if i not in paired:
+                        fill = tensor_multiply(fill, realize(("o", i), model, n))
+                slots = list(range(1, s + 1)) + list(paired)
+                for graph in loopless_multigraphs([1] * s + [2] * k):
+                    x = fill
+                    for i, j in graph:
+                        x = tensor_multiply(x, taus[slots[i], slots[j]])
+                    yield x

@@ -32,6 +32,8 @@ from chowtaut.ring import (
     reduce_with_order,
 )
 
+from span_reference import StandardMonomialSpan
+
 
 def _report(name, elapsed, bound):
     line = f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s < {bound:.0f}s)"
@@ -233,7 +235,7 @@ def test_acceptance_b0_degeneracy():
     # decomposable CK: every projector is a polynomial in h alone times 1/d
     ps = ck_projectors(RingParams(d=2, b=0, m=2))
     model = CohomologyModel(d=2, b=0)
-    span = SubalgebraSpan(model, 2)
+    span = StandardMonomialSpan(model, 2)
     for k in range(7):
         pk = ps.pi[k]
         total = None

@@ -1,0 +1,137 @@
+"""The slot-degree block sum behind SubalgebraSpan against the reference span."""
+
+import itertools
+import random
+
+import pytest
+
+from chowtaut import oracle
+from chowtaut.linalg import SparseRowBasis
+from chowtaut.oracle import (
+    CohomologyModel,
+    SubalgebraSpan,
+    adjudicate_signs,
+    loopless_multigraphs,
+    realize,
+    tensor_multiply,
+    tensor_unit,
+)
+from chowtaut.ring import RingParams, TautRing
+
+from span_reference import StandardMonomialSpan
+
+
+def assert_same_dims(model, m):
+    span, ref = SubalgebraSpan(model, m), StandardMonomialSpan(model, m)
+    for c in range(3 * m + 1):
+        assert span.dimension(c) == ref.dimension(c), c
+
+
+CASES = ([(b, m) for b in (0, 1, 2) for m in range(1, 6)]
+         + [(3, m) for m in range(1, 5)] + [(1, 6)])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("b,m", CASES)
+def test_matches_reference_span(b, m, d):
+    assert_same_dims(CohomologyModel(d, b), m)
+
+
+def test_matches_reference_span_random_basis():
+    assert_same_dims(CohomologyModel.random_basis(2, 2, random.Random(11)), 4)
+
+
+def block_rank(model, s, u, fill):
+    """r(s, u) from every monomial of the block, each degree-6 slot without a tau
+    filled by ``fill`` (a list of generator kinds), with no early stop."""
+    n = s + u
+    rows = SparseRowBasis()
+    for k in range(u + 1):
+        for paired in itertools.combinations(range(s + 1, n + 1), k):
+            x = tensor_unit(model, n)
+            for i in range(s + 1, n + 1):
+                for kind in () if i in paired else fill:
+                    x = tensor_multiply(x, realize((kind, i), model, n))
+            slots = list(range(1, s + 1)) + list(paired)
+            for graph in loopless_multigraphs([1] * s + [2] * k):
+                y = x
+                for i, j in graph:
+                    y = tensor_multiply(y, realize(("tau", slots[i], slots[j]), model, n))
+                rows.add(y.terms)
+    return rows.rank
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("b", [1, 2])
+def test_h_cube_fill_gives_same_rank(b, d):
+    model = CohomologyModel(d, b)
+    span = SubalgebraSpan(model, 4)
+    for s, u in itertools.product(range(0, 5, 2), range(5)):
+        if s + u <= 4:
+            r = span._rank(s, u)
+            assert r == block_rank(model, s, u, ["o"]) == block_rank(model, s, u, ["h"] * 3), (s, u)
+
+
+def double_factorial(n):
+    return 1 if n <= 0 else n * double_factorial(n - 2)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_multigraphs_at_all_ones_are_perfect_matchings(p):
+    graphs = list(loopless_multigraphs([1] * (2 * p)))
+    assert len(graphs) == len(set(graphs)) == double_factorial(2 * p - 1)
+
+
+@pytest.mark.parametrize("degrees", [[1], [2, 1], [1, 1, 1], [2, 2, 1], [3, 2, 2, 2]])
+def test_multigraphs_none_at_odd_degree_sum(degrees):
+    assert list(loopless_multigraphs(degrees)) == []
+
+
+def brute_multigraphs(degrees):
+    n = len(degrees)
+    pairs = list(itertools.combinations(range(n), 2))
+    found = []
+    for edges in itertools.combinations_with_replacement(pairs, sum(degrees) // 2):
+        deg = [0] * n
+        for i, j in edges:
+            deg[i] += 1
+            deg[j] += 1
+        if deg == list(degrees):
+            found.append(tuple(sorted(edges)))
+    return sorted(found) if sum(degrees) % 2 == 0 else []
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_multigraphs_match_brute_force(n):
+    for degrees in itertools.product(range(4 if n <= 4 else 3), repeat=n):
+        graphs = list(loopless_multigraphs(degrees))
+        assert len(graphs) == len(set(graphs)), degrees
+        assert sorted(graphs) == brute_multigraphs(degrees), degrees
+
+
+def test_builds_only_blocks_of_the_requested_codim(monkeypatch):
+    powers = set()
+
+    def recording(x, y):
+        powers.add(x.m)
+        return tensor_multiply(x, y)
+
+    monkeypatch.setattr(oracle, "tensor_multiply", recording)
+    span = SubalgebraSpan(CohomologyModel(2, 1), 12)
+    assert span.dimension(4) == TautRing(RingParams(2, 1, 12)).graded_dimensions()[4]
+    assert span._ranks and all(3 * s + 6 * u <= 8 for s, u in span._ranks)
+    assert max(powers) <= 2
+
+
+def test_codim_out_of_range():
+    span = SubalgebraSpan(CohomologyModel(2, 1), 2)
+    for c in (-1, 7, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            span.dimension(c)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_adjudicate_dims_unchanged(b):
+    model = CohomologyModel(2, b)
+    ref = StandardMonomialSpan(model, 2)
+    assert adjudicate_signs(model).dims == tuple((c, ref.dimension(c)) for c in range(7))

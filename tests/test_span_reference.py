@@ -1,42 +1,18 @@
 """The standard-monomial span of the tensor model against the all-products span."""
 
-import itertools
 import random
 
 import pytest
 
-from chowtaut import oracle
 from chowtaut.linalg import SparseRowBasis
-from chowtaut.oracle import CohomologyModel, SubalgebraSpan, realize, tensor_multiply, tensor_unit
+from chowtaut.oracle import CohomologyModel, tensor_multiply
 
-
-class AllProductsSpan:
-    """Reference: codim k is spanned by every generator times every kept element of
-    codim k - codim(generator), each product formed and offered to the basis."""
-
-    def __init__(self, model, m):
-        gens = [("h", i) for i in range(1, m + 1)]
-        gens += [("o", i) for i in range(1, m + 1)]
-        gens += [("tau", i, j) for i, j in itertools.combinations(range(1, m + 1), 2)]
-        self.gens = [(1 if g[0] == "h" else 3, realize(g, model, m)) for g in gens]
-        self.bases = [[tensor_unit(model, m)]]
-
-    def basis(self, c):
-        while len(self.bases) <= c:
-            k = len(self.bases)
-            reducer = SparseRowBasis()
-            basis = []
-            for codim, gen in self.gens:
-                for x in self.bases[k - codim] if codim <= k else ():
-                    v = tensor_multiply(gen, x)
-                    if reducer.add(v.terms):
-                        basis.append(v)
-            self.bases.append(basis)
-        return self.bases[c]
+import span_reference
+from span_reference import AllProductsSpan, StandardMonomialSpan
 
 
 def assert_same_span(model, m):
-    span, ref = SubalgebraSpan(model, m), AllProductsSpan(model, m)
+    span, ref = StandardMonomialSpan(model, m), AllProductsSpan(model, m)
     for c in range(3 * m + 1):
         ref_rows = SparseRowBasis()
         for v in ref.basis(c):
@@ -73,7 +49,7 @@ def kept_words(span):
 @pytest.mark.parametrize("b,m", [(0, 4), (1, 4), (2, 3), (3, 3)])
 def test_kept_words_are_an_order_ideal(b, m):
     # Dropping any one letter of a kept word gives a kept word of the lower codim.
-    span = SubalgebraSpan(CohomologyModel(2, b), m)
+    span = StandardMonomialSpan(CohomologyModel(2, b), m)
     codims, words = kept_words(span)
     kept = [set(ws) for ws in words]
     for c, ws in enumerate(words):
@@ -89,7 +65,7 @@ def test_kept_words_are_an_order_ideal(b, m):
 def test_kept_words_in_monomial_order(b, m):
     # Each codim keeps its words in increasing order: fewer h first, then lex with
     # generator 0 heaviest (ascending tuple order with negated letters).
-    span = SubalgebraSpan(CohomologyModel(2, b), m)
+    span = StandardMonomialSpan(CohomologyModel(2, b), m)
     codims, words = kept_words(span)
     for ws in words:
         keys = [(sum(codims[g] == 1 for g in w), [-g for g in w]) for w in ws]
@@ -104,8 +80,8 @@ def test_every_product_formed_is_nonzero(monkeypatch, b, m):
         products.append(tensor_multiply(x, y))
         return products[-1]
 
-    monkeypatch.setattr(oracle, "tensor_multiply", recording)
-    span = SubalgebraSpan(CohomologyModel(2, b), m)
+    monkeypatch.setattr(span_reference, "tensor_multiply", recording)
+    span = StandardMonomialSpan(CohomologyModel(2, b), m)
     rank = sum(span.dimension(c) for c in range(3 * m + 1))
     assert products and not any(v.is_zero() for v in products)
     assert len(products) < 2 * rank  # the all-products span forms about 19 times the rank
