@@ -30,6 +30,8 @@ class CliError(Exception):
 def _params_from_args(args) -> tuple[int, int, str | None]:
     """Resolve (d, b) from --label or from --d/--b."""
     if getattr(args, "label", None) is not None:
+        if args.d is not None or args.b is not None:
+            raise CliError("supply either --label or both --d and --b, not both")
         try:
             rec = catalog_get(args.label, load_catalog(getattr(args, "catalog", None)))
         except KeyError as exc:

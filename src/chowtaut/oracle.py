@@ -22,10 +22,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
-from .ring import accumulate
+from .ring import accumulate, perfect_matchings
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -331,45 +331,13 @@ def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
 # -- generated subalgebra ---------------------------------------------------
 
 
-def loopless_multigraphs(degrees: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every loopless multigraph on vertices 0..n-1 with the given degrees, once each.
-
-    A multigraph is given as its sorted edge list.  The first vertex with degree
-    left takes all of its remaining edges at once, as a multiset of later
-    partners, so each multigraph arises from exactly one sequence of choices.
-    An odd degree sum gives none.
-    """
-    left = list(degrees)
-    n = len(left)
-
-    def walk(i: int):
-        while i < n and not left[i]:
-            i += 1
-        if i == n:
-            yield ()
-            return
-        need, left[i] = left[i], 0
-        later = [j for j in range(i + 1, n) if left[j]]
-        for partners in itertools.combinations_with_replacement(later, need):
-            if all(partners.count(j) <= left[j] for j in set(partners)):
-                for j in partners:
-                    left[j] -= 1
-                for rest in walk(i + 1):
-                    yield tuple((i, j) for j in partners) + rest
-                for j in partners:
-                    left[j] += 1
-        left[i] = need
-
-    return walk(0)
-
-
 class SubalgebraSpan:
     """Graded span of the subalgebra of H*(Y^m) generated by the realized classes.
 
-    dimension(c) = sum of multinomial(m; n0, n2, n4, n3, n6) * r(n3, n6) over the
-    slot-degree counts with 2 n2 + 4 n4 + 3 n3 + 6 n6 = 2c, where r(s, u) is the rank
-    on Y^(s+u) of the monomials of slot degree 3 at slots 1..s and 6 at the u
-    after them.  This is exact:
+    dimension(c) = sum of multinomial(m; n0, n2, n4, n3, n6) * r(n3) over the
+    slot-degree counts with 2 n2 + 4 n4 + 3 n3 + 6 n6 = 2c, where r(s) is the rank
+    on Y^s of the products of tau over the perfect matchings of 1..s.  This is
+    exact:
 
     - every generator is multi-homogeneous in the slot degrees, so codim c is
       the direct sum of its slot-degree blocks;
@@ -378,7 +346,13 @@ class SubalgebraSpan:
     - a slot of degree 0, 2 or 4 carries the fixed even class 1, h or h^2 in
       every monomial of its block, so it drops out;
     - at a slot of degree 6 with no tau, h^3 = d * o with d >= 1, so the o fill
-      spans what the h^3 fill spans.
+      spans what the h^3 fill spans;
+    - a slot i of degree 6 with two tau ends collapses in the model itself:
+      tau_{a,i} tau_{i,c} = eps3 * tau_{a,c} o_i for a != c and
+      tau_{a,i}^2 = eps2 * 2b * o_a o_i, the products adjudicate_signs reads.
+      So every monomial of the block is a multiple of o on all its degree-6
+      slots times a matching on the degree-3 ones, and since o at those slots
+      is one fixed even tensor factor, the block's rank is r(s).
 
     Ranks are memoized on the instance and computed only for blocks that occur
     in a requested codim.  README.md, "The tensor model", has the argument.
@@ -387,7 +361,7 @@ class SubalgebraSpan:
     def __init__(self, model: CohomologyModel, m: int):
         self.model = model
         self.m = m
-        self._ranks: dict[tuple[int, int], int] = {}
+        self._ranks: dict[int, int] = {}
 
     def dimension(self, c: int) -> int:
         m = self.m
@@ -404,39 +378,21 @@ class SubalgebraSpan:
                     if n0 >= 0:
                         weight += factorial(m) // prod(map(factorial, (n0, n2, n4, n3, n6)))
                 if weight:
-                    total += weight * self._rank(n3, n6)
+                    total += weight * self._rank(n3)
         return total
 
-    def _rank(self, s: int, u: int) -> int:
-        """r(s, u), stopping once it reaches (2b)^s, the dimension of its block of H*(Y^(s+u))."""
-        if (s, u) not in self._ranks:
+    def _rank(self, s: int) -> int:
+        """r(s), stopping once it reaches (2b)^s, the dimension of H^3(Y)^(x)s."""
+        if s not in self._ranks:
+            model = self.model
             rows = SparseRowBasis()
-            full = (2 * self.model.b) ** s
-            for x in self._block(s, u):
+            full = (2 * model.b) ** s
+            for matching in perfect_matchings(range(1, s + 1)):
+                x = tensor_unit(model, s)
+                for i, j in matching:
+                    x = tensor_multiply(x, realize(("tau", i, j), model, s))
                 rows.add(x.terms)
                 if rows.rank == full:
                     break
-            self._ranks[s, u] = rows.rank
-        return self._ranks[s, u]
-
-    def _block(self, s: int, u: int) -> Iterator[TensorClass]:
-        """Every monomial of slot degree (3^s, 6^u) on Y^(s+u), o fill first.
-
-        Each of the u slots has tau degree 0 (filled by o) or 2; the taus form a
-        loopless multigraph with degree 1 at each of the s slots.
-        """
-        model, n = self.model, s + u
-        taus = {(i, j): realize(("tau", i, j), model, n)
-                for i, j in itertools.combinations(range(1, n + 1), 2)}
-        for k in range(u + 1):
-            for paired in itertools.combinations(range(s + 1, n + 1), k):
-                fill = tensor_unit(model, n)
-                for i in range(s + 1, n + 1):
-                    if i not in paired:
-                        fill = tensor_multiply(fill, realize(("o", i), model, n))
-                slots = list(range(1, s + 1)) + list(paired)
-                for graph in loopless_multigraphs([1] * s + [2] * k):
-                    x = fill
-                    for i, j in graph:
-                        x = tensor_multiply(x, taus[slots[i], slots[j]])
-                    yield x
+            self._ranks[s] = rows.rank
+        return self._ranks[s]

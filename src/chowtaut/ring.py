@@ -459,7 +459,8 @@ class TautRing:
         contains the point class at b=1, m=4), so eps2 = +1 raises
         ValueError.  Checked against the brute-force quotient,
         len(graded_basis(c)) - rank(relator_vectors(c)), for m <= 5, b <= 3,
-        against the tensor model at (1, 4), (1, 5), (2, 4), and once against
+        against the tensor model for b in {1, 2}, m <= 5, at (1, 6), (3, 4) (tests)
+        and (1, 7), (3, 6), (3, 7), (2, 8), (2, 9), (1, 10) (CI), and once against
         an exact h-free elimination for b <= 3, m <= 6 and at (0, 7),
         (1, 7), (1, 8), (2, 7), (2, 8), (3, 8).  Beyond these ranges the
         result rests on the cited theorem.

@@ -157,6 +157,14 @@ def test_verify_requires_params(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("command", ["verify-ck", "verify-mck"])
+@pytest.mark.parametrize("extra", [["--d", "7", "--b", "1"], ["--d", "3"], ["--b", "5"]])
+def test_verify_rejects_label_with_params(capsys, command, extra):
+    code, out, err = run(capsys, command, "--label", "2.3", *extra)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "supply either --label or both --d and --b, not both"}
+
+
 @pytest.mark.parametrize("field, bad", [("h12", 1.5), ("degree", 2.5)])
 def test_verify_ck_rejects_non_integer_catalog_row(capsys, tmp_path, field, bad):
     row = {"label": "x", "index": 2, "degree": 3, "h12": 1,
