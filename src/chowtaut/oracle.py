@@ -153,10 +153,12 @@ class TensorClass:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TensorClass) and self.m == other.m
+                and (self.model is other.model or self.model == other.model)
                 and self.terms == other.terms)
 
     def _check_compatible(self, other: "TensorClass") -> None:
-        if self.m != other.m or self.model is not other.model:
+        # equal models (same d, b and Omega) may be distinct objects
+        if self.m != other.m or (self.model is not other.model and self.model != other.model):
             raise ValueError("tensor classes live on different models or powers")
 
     def __repr__(self) -> str:
@@ -170,30 +172,41 @@ def tensor_unit(model: CohomologyModel, m: int) -> TensorClass:
 def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
     """Factorwise product with the Koszul sign (-1)^{sum_{j<i} |v_j||u_i|}.
 
-    Only parities enter the sign, and the odd basis elements are the ids >= 4:
-    scanning the slots left to right, each odd u_i flips the sign once for
-    every odd v_j already passed.
+    E0 is the unit of the product table, so a pair (u, v) starts from v and
+    multiplies in only the support of u (its slots other than E0): pass the
+    factor of small support, such as a generator, first.  Only parities enter
+    the sign, and the odd basis elements are the ids >= 4: bit i of the prefix
+    mask of v is set when an odd number of v's odd ids come before slot i, and
+    each odd u_i flips the sign once if its bit is set.  Supports, odd masks
+    and prefix masks are formed once per term, not once per pair.
     """
     x._check_compatible(y)
     table = x.model.table
     out: dict[tuple[int, ...], Rational] = {}
+    xs = []
     for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
+        support, odd_u = [], 0
+        for i, ui in enumerate(u):
+            if ui != E0:
+                support.append((i, ui))
+                odd_u |= (ui >= 4) << i
+        xs.append((cu, support, odd_u))
+    for v, cv in y.terms.items():
+        prefix = odd = 0
+        for i, vi in enumerate(v):
+            prefix |= odd << i
+            odd ^= vi >= 4
+        for cu, support, odd_u in xs:
             coeff = cu * cv
-            key = []
-            odd_v = negate = False
-            for ui, vi in zip(u, v):
-                prod = table[ui][vi]
+            key = list(v)
+            for i, ui in support:
+                prod = table[ui][v[i]]
                 if prod is None:
                     break
-                if ui >= 4 and odd_v:
-                    negate = not negate
-                if vi >= 4:
-                    odd_v = not odd_v
                 coeff *= prod[0]
-                key.append(prod[1])
+                key[i] = prod[1]
             else:
-                accumulate(out, tuple(key), -coeff if negate else coeff)
+                accumulate(out, tuple(key), -coeff if (odd_u & prefix).bit_count() & 1 else coeff)
     return TensorClass(x.model, x.m, out)
 
 
@@ -242,7 +255,7 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
 def realize_monomial(mon, model: CohomologyModel, m: int) -> TensorClass:
     acc = tensor_unit(model, m)
     for g in mon.generators():
-        acc = tensor_multiply(acc, realize(g, model, m))
+        acc = tensor_multiply(realize(g, model, m), acc)
     return acc
 
 
@@ -390,7 +403,7 @@ class SubalgebraSpan:
             for matching in perfect_matchings(range(1, s + 1)):
                 x = tensor_unit(model, s)
                 for i, j in matching:
-                    x = tensor_multiply(x, realize(("tau", i, j), model, s))
+                    x = tensor_multiply(realize(("tau", i, j), model, s), x)
                 rows.add(x.terms)
                 if rows.rank == full:
                     break

@@ -22,13 +22,21 @@ def matching_by_matching(model, slots, m, negate_first=False):
     for n, matching in enumerate(perfect_matchings(slots)):
         prod = tensor_unit(model, m)
         for i, j in matching:
-            prod = tensor_multiply(prod, realize(("tau", i, j), model, m))
+            prod = tensor_multiply(realize(("tau", i, j), model, m), prod)
         for key, c in prod.terms.items():
             accumulate(total, key, -c if negate_first and n == 0 else c)
     return TensorClass(model, m, total)
 
 
 def models(b):
+    """The standard model, and a random basis up to b = 2.
+
+    At b = 3 the random basis is left out: there tau has up to (2b)^2 terms
+    where the standard one has 2b, and the matching-by-matching reference at
+    8 slots takes about 6 minutes.
+    """
+    if b == 3:
+        return [CohomologyModel(2, b)]
     return [CohomologyModel(2, b), CohomologyModel.random_basis(2, b, random.Random(7 + b))]
 
 
@@ -42,7 +50,7 @@ def slot_tuples(b):
             yield tuple(range(2, 2 * k + 1, 2))
 
 
-@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("b", [1, 2, 3])
 def test_expansion_equals_matching_by_matching(b):
     m = 2 * b + 2
     for model in models(b):
@@ -51,7 +59,7 @@ def test_expansion_equals_matching_by_matching(b):
                 matching_by_matching(model, slots, m).terms, slots
 
 
-@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("b", [1, 2, 3])
 def test_vanishes_at_2b_plus_2_slots_only(b):
     m = 2 * b + 2
     for model in models(b):

@@ -96,6 +96,26 @@ class TestTensorMultiply:
         with pytest.raises(ValueError):
             tensor_multiply(tensor_unit(mod, 2), tensor_unit(mod, 3))
 
+    def test_equality_compares_models(self):
+        # same terms, but h^3 = 2 o on one model and 3 o on the other
+        h2, h3 = realize(("h", 1), model(d=2), 2), realize(("h", 1), model(d=3), 2)
+        assert h2 != h3
+        assert realize(("tau", 1, 2), model(b=2), 2) != realize(
+            ("tau", 1, 2), CohomologyModel.random_basis(2, 2, random.Random(3)), 2)
+        with pytest.raises(ValueError, match="different models"):
+            h2 + h3
+        with pytest.raises(ValueError, match="different models"):
+            tensor_multiply(h2, h3)
+
+    def test_equal_models_combine(self):
+        # two equal models that are distinct objects
+        h, h_again = realize(("h", 1), model(d=2), 2), realize(("h", 1), model(d=2), 2)
+        assert h.model is not h_again.model
+        assert h == h_again
+        assert h + h_again == h.scale(2)
+        cube = tensor_multiply(tensor_multiply(h, h_again), h_again)
+        assert cube == realize(("o", 1), model(d=2), 2).scale(2)
+
     @pytest.mark.parametrize("mod", [CohomologyModel(3, 2),
                                      CohomologyModel.random_basis(3, 2, random.Random(7))],
                              ids=["standard", "random_basis"])
