@@ -25,7 +25,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
-from .ring import accumulate, perfect_matchings
+from .ring import Monomial, accumulate, perfect_matchings
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -169,8 +169,9 @@ def tensor_unit(model: CohomologyModel, m: int) -> TensorClass:
     return TensorClass(model, m, {(E0,) * m: 1})
 
 
-def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
-    """Factorwise product with the Koszul sign (-1)^{sum_{j<i} |v_j||u_i|}.
+def _multiply_into(out: dict[tuple[int, ...], Rational], x_terms: dict, y_terms: dict,
+                   table: tuple) -> dict[tuple[int, ...], Rational]:
+    """Add the Koszul-signed products of the terms of x and y into out, and return it.
 
     E0 is the unit of the product table, so a pair (u, v) starts from v and
     multiplies in only the support of u (its slots other than E0): pass the
@@ -178,20 +179,18 @@ def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
     the sign, and the odd basis elements are the ids >= 4: bit i of the prefix
     mask of v is set when an odd number of v's odd ids come before slot i, and
     each odd u_i flips the sign once if its bit is set.  Supports, odd masks
-    and prefix masks are formed once per term, not once per pair.
+    and prefix masks are formed once per term, not once per pair.  A key whose
+    coefficient cancels is dropped from out, also one that out held before.
     """
-    x._check_compatible(y)
-    table = x.model.table
-    out: dict[tuple[int, ...], Rational] = {}
     xs = []
-    for u, cu in x.terms.items():
+    for u, cu in x_terms.items():
         support, odd_u = [], 0
         for i, ui in enumerate(u):
             if ui != E0:
                 support.append((i, ui))
                 odd_u |= (ui >= 4) << i
         xs.append((cu, support, odd_u))
-    for v, cv in y.terms.items():
+    for v, cv in y_terms.items():
         prefix = odd = 0
         for i, vi in enumerate(v):
             prefix |= odd << i
@@ -207,7 +206,17 @@ def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
                 key[i] = prod[1]
             else:
                 accumulate(out, tuple(key), -coeff if (odd_u & prefix).bit_count() & 1 else coeff)
-    return TensorClass(x.model, x.m, out)
+    return out
+
+
+def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
+    """Factorwise product with the Koszul sign (-1)^{sum_{j<i} |v_j||u_i|}.
+
+    The kernel is :func:`_multiply_into`; it walks only the support of x's
+    terms, so pass the factor of small support first.
+    """
+    x._check_compatible(y)
+    return TensorClass(x.model, x.m, _multiply_into({}, x.terms, y.terms, x.model.table))
 
 
 def tensor_integrate(x: TensorClass) -> Rational:
@@ -253,8 +262,12 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
 
 
 def realize_monomial(mon, model: CohomologyModel, m: int) -> TensorClass:
-    acc = tensor_unit(model, m)
-    for g in mon.generators():
+    """g_n * ... * g_1 for the generators g_1..g_n of mon, each multiplied in from the left."""
+    gens = mon.generators()
+    if not gens:
+        return tensor_unit(model, m)
+    acc = realize(gens[0], model, m)
+    for g in gens[1:]:
         acc = tensor_multiply(realize(g, model, m), acc)
     return acc
 
@@ -294,22 +307,28 @@ def tau_matching_sum(model: CohomologyModel, slots: tuple[int, ...], m: int) -> 
     Expanded along the first slot, as a hafnian is:
     S(i, rest) = sum_j tau_{i,j} * S(rest without j), and S() = 1.  This is
     distributivity only.  Each tau has even degree, so the factors commute and
-    no sign is added here; the Koszul signs stay inside tensor_multiply.
+    no sign is added here; the Koszul signs stay inside the product kernel.
+    Each level sums its products tau_{i,j} * S(rest without j) straight into
+    one term dict, the sub-sums stay plain dicts, and one TensorClass is
+    built at the end.
     An odd number of slots, or a repeated slot, has no perfect matching and
     raises ValueError rather than returning an empty sum.
     """
     if len(slots) % 2 or len(set(slots)) != len(slots):
         raise ValueError(f"slots {slots} admit no perfect matching")
-    if not slots:
-        return tensor_unit(model, m)
-    first, rest = slots[0], slots[1:]
-    total: dict[tuple[int, ...], Rational] = {}
-    for k, j in enumerate(rest):
-        prod = tensor_multiply(realize(("tau", first, j), model, m),
-                               tau_matching_sum(model, rest[:k] + rest[k + 1:], m))
-        for key, c in prod.terms.items():
-            accumulate(total, key, c)
-    return TensorClass(model, m, total)
+    table = model.table
+
+    def expand(slots: tuple[int, ...]) -> dict[tuple[int, ...], Rational]:
+        if not slots:
+            return tensor_unit(model, m).terms
+        first, rest = slots[0], slots[1:]
+        total: dict[tuple[int, ...], Rational] = {}
+        for k, j in enumerate(rest):
+            _multiply_into(total, realize(("tau", first, j), model, m).terms,
+                           expand(rest[:k] + rest[k + 1:]), table)
+        return total
+
+    return TensorClass(model, m, expand(slots))
 
 
 def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
@@ -401,10 +420,7 @@ class SubalgebraSpan:
             rows = SparseRowBasis()
             full = (2 * model.b) ** s
             for matching in perfect_matchings(range(1, s + 1)):
-                x = tensor_unit(model, s)
-                for i, j in matching:
-                    x = tensor_multiply(realize(("tau", i, j), model, s), x)
-                rows.add(x.terms)
+                rows.add(realize_monomial(Monomial(tau=tuple(matching)), model, s).terms)
                 if rows.rank == full:
                     break
             self._ranks[s] = rows.rank

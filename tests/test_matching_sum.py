@@ -29,14 +29,7 @@ def matching_by_matching(model, slots, m, negate_first=False):
 
 
 def models(b):
-    """The standard model, and a random basis up to b = 2.
-
-    At b = 3 the random basis is left out: there tau has up to (2b)^2 terms
-    where the standard one has 2b, and the matching-by-matching reference at
-    8 slots takes about 6 minutes.
-    """
-    if b == 3:
-        return [CohomologyModel(2, b)]
+    """The standard model and a random basis."""
     return [CohomologyModel(2, b), CohomologyModel.random_basis(2, b, random.Random(7 + b))]
 
 
@@ -53,7 +46,10 @@ def slot_tuples(b):
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_expansion_equals_matching_by_matching(b):
     m = 2 * b + 2
-    for model in models(b):
+    # at b = 3 the random basis is left out: there tau has up to (2b)^2 terms
+    # where the standard one has 2b, and the matching-by-matching reference at
+    # 8 slots takes about 6 minutes
+    for model in models(b) if b < 3 else models(b)[:1]:
         for slots in slot_tuples(b):
             assert tau_matching_sum(model, slots, m).terms == \
                 matching_by_matching(model, slots, m).terms, slots
@@ -81,8 +77,9 @@ def test_slots_without_perfect_matching_rejected_before_any_product(slots, monke
     # an odd or repeated slot tuple has no perfect matching; an empty sum would
     # read as "the relation holds" although no product was checked
     def no_product(*args):
-        raise AssertionError("tensor_multiply called")
+        raise AssertionError("a tensor product was formed")
 
     monkeypatch.setattr(oracle, "tensor_multiply", no_product)
+    monkeypatch.setattr(oracle, "_multiply_into", no_product)
     with pytest.raises(ValueError, match="no perfect matching"):
         tau_matching_sum(CohomologyModel(2, 1), slots, 5)

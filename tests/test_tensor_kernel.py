@@ -1,11 +1,11 @@
-"""tensor_multiply against the slot-by-slot product it replaced, term for term."""
+"""tensor_multiply and its accumulating kernel against the slot-by-slot product, term for term."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from chowtaut.oracle import CohomologyModel, TensorClass, tensor_multiply
+from chowtaut.oracle import CohomologyModel, TensorClass, _multiply_into, tensor_multiply
 from chowtaut.ring import accumulate
 
 
@@ -42,8 +42,8 @@ coefficients = st.one_of(st.integers(-6, 6),
 
 
 @st.composite
-def class_pairs(draw):
-    """Two classes on Y^m, m in 1..5, b in 0..2, standard or random Gram matrix.
+def classes(draw, n):
+    """n classes on Y^m, m in 1..5, b in 0..2, standard or random Gram matrix.
 
     Each slot id is drawn from all ids, with E0 repeated `unit_weight` times, so
     the keys run from mostly E0 to dense; a class may be empty.
@@ -56,10 +56,10 @@ def class_pairs(draw):
     unit_weight = draw(st.sampled_from([0, 2, 8, 32]))
     slot = st.sampled_from((0,) * unit_weight + tuple(range(4 + 2 * b)))
     terms = st.dictionaries(st.tuples(*[slot] * m), coefficients, max_size=8)
-    return (TensorClass(model, m, draw(terms)), TensorClass(model, m, draw(terms)))
+    return tuple(TensorClass(model, m, draw(terms)) for _ in range(n))
 
 
-@given(class_pairs())
+@given(classes(2))
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_slotwise_reference(pair):
     x, y = pair
@@ -67,6 +67,27 @@ def test_kernel_matches_slotwise_reference(pair):
         got, want = tensor_multiply(a, b), slotwise_multiply(a, b)
         assert got.terms == want.terms
         assert all(type(got.terms[k]) is type(c) for k, c in want.terms.items())
+
+
+@given(classes(3), st.sampled_from(["z", "-xy", "z - xy"]))
+@settings(max_examples=200, deadline=None)
+def test_kernel_accumulates_into_given_dict(triple, start):
+    # the dict passed in may already hold terms, and -x*y among them: every
+    # key of the sum that cancels must be dropped, not kept with coefficient 0
+    x, y, z = triple
+    xy = slotwise_multiply(x, y)
+    if start == "-xy":
+        z = xy.scale(-1)
+    elif start == "z - xy":
+        z = z - xy
+    want = dict(z.terms)
+    for key, c in xy.terms.items():
+        accumulate(want, key, c)
+    out = dict(z.terms)
+    assert _multiply_into(out, x.terms, y.terms, x.model.table) is out
+    assert out == want
+    if start == "-xy":
+        assert out == {}
 
 
 def test_reference_sees_koszul_signs():
