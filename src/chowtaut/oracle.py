@@ -19,13 +19,13 @@ remains, and never a float.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
 from typing import Sequence
 
 from .linalg import Rational, SparseRowBasis, exact, require_ints
-from .ring import Monomial, accumulate, perfect_matchings
+from .ring import Monomial, accumulate, perfect_matchings, slot_weight_count
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -366,10 +366,12 @@ def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
 class SubalgebraSpan:
     """Graded span of the subalgebra of H*(Y^m) generated by the realized classes.
 
-    dimension(c) = sum of multinomial(m; n0, n2, n4, n3, n6) * r(n3) over the
-    slot-degree counts with 2 n2 + 4 n4 + 3 n3 + 6 n6 = 2c, where r(s) is the rank
-    on Y^s of the products of tau over the perfect matchings of 1..s.  This is
-    exact:
+    dimension(c) = sum over even n3 of C(m, n3) * [x^(c - 3 n3/2)](1+x+x^2+x^3)^(m-n3)
+    * r(n3), where r(s) is the rank on Y^s of the products of tau over the perfect
+    matchings of 1..s.  This is the sum of multinomial(m; n0, n2, n4, n3, n6) * r(n3)
+    over the slot-degree counts with 2 n2 + 4 n4 + 3 n3 + 6 n6 = 2c, the n3 slots
+    chosen first and the others given codim weights 0, 1, 2, 3
+    (:func:`slot_weight_count`).  It is exact:
 
     - every generator is multi-homogeneous in the slot degrees, so codim c is
       the direct sum of its slot-degree blocks;
@@ -401,16 +403,9 @@ class SubalgebraSpan:
             raise ValueError(f"codimension {c} out of range 0..{3 * m}")
         total = 0
         for n3 in range(0, m + 1, 2):
-            for n6 in range(m - n3 + 1):
-                rest = 2 * c - 3 * n3 - 6 * n6  # 2 n2 + 4 n4
-                weight = 0
-                for n4 in range(rest // 4 + 1):
-                    n2 = rest // 2 - 2 * n4
-                    n0 = m - n3 - n6 - n2 - n4
-                    if n0 >= 0:
-                        weight += factorial(m) // prod(map(factorial, (n0, n2, n4, n3, n6)))
-                if weight:
-                    total += weight * self._rank(n3)
+            weight = math.comb(m, n3) * slot_weight_count(m - n3, c - 3 * n3 // 2)
+            if weight:
+                total += weight * self._rank(n3)
         return total
 
     def _rank(self, s: int) -> int:

@@ -7,7 +7,13 @@ import pytest
 
 from chowtaut.linalg import SparseRowBasis
 from chowtaut.oracle import CohomologyModel, SubalgebraSpan
-from chowtaut.ring import RingParams, TautRing, perfect_matchings, symplectic_invariant_counts
+from chowtaut.ring import (
+    RingParams,
+    TautRing,
+    perfect_matchings,
+    slot_weight_count,
+    symplectic_invariant_counts,
+)
 
 SIGNS = {"adjudicated": RingParams, "paper": RingParams.paper_signs}
 
@@ -36,6 +42,42 @@ def crossing_free_matchings(b, p):
 def test_invariant_counts_match_matching_count(b):
     assert symplectic_invariant_counts(b, 6) == [crossing_free_matchings(b, p)
                                                  for p in range(7)]
+
+
+@pytest.mark.parametrize("b", [3, 4, 5, 6])
+def test_invariant_counts_closed_form_when_b_covers_pmax(b):
+    # pmax <= b: counted in closed form, not by the partition walk
+    for pmax in range(min(b, 5) + 1):
+        assert symplectic_invariant_counts(b, pmax) == [crossing_free_matchings(b, p)
+                                                        for p in range(pmax + 1)]
+
+
+def test_invariant_counts_at_catalog_b():
+    assert symplectic_invariant_counts(52, 30)[30] == math.prod(range(1, 60, 2))  # 59!!
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_slot_weight_count_matches_enumeration(n):
+    counts = [sum(ws) for ws in itertools.product(range(4), repeat=n)]
+    for k in range(-1, 3 * n + 2):
+        assert slot_weight_count(n, k) == counts.count(k), (n, k)
+
+
+def test_slot_weight_count_is_the_multinomial_block_sum():
+    """C(m, n3) * [x^k](1+x+x^2+x^3)^(m-n3) is the sum of multinomial(m; n0, n2,
+    n4, n3, n6) over n2 + 2 n4 + 3 n6 = k, the weight of the tensor-model blocks."""
+    f = math.factorial
+    for m in range(13):
+        for n3 in range(0, m + 1, 2):
+            for k in range(-1, 3 * (m - n3) + 2):
+                weight = 0
+                for n6 in range(m - n3 + 1):
+                    for n4 in range(m - n3 + 1):
+                        n2 = k - 3 * n6 - 2 * n4
+                        n0 = m - n3 - n6 - n4 - n2
+                        if n2 >= 0 and n0 >= 0:
+                            weight += f(m) // (f(n0) * f(n2) * f(n4) * f(n3) * f(n6))
+                assert math.comb(m, n3) * slot_weight_count(m - n3, k) == weight, (m, n3, k)
 
 
 def test_invariant_counts_known_values():
@@ -91,6 +133,22 @@ def test_single_codim_matches_full_vector(b, m):
     dims = r.graded_dimensions()
     assert [r.graded_dimension(c) for c in range(3 * m + 1)] == dims
     assert vars(r) == {"p": r.p}  # no memo outlives the call
+
+
+@pytest.mark.parametrize("b,m", [(52, 60), (1, 40)])
+def test_single_codim_matches_full_vector_at_catalog_scale(b, m):
+    r = TautRing(RingParams(2, b, m))
+    dims = r.graded_dimensions()
+    for c in (0, 1, 3, 45, 90, 3 * m):
+        assert r.graded_dimension(c) == dims[c], c
+
+
+def test_single_codim_refuses_paper_signs_after_range_check():
+    r = TautRing(RingParams.paper_signs(2, 1, 4))
+    with pytest.raises(ValueError, match="out of range"):
+        r.graded_dimension(13)
+    with pytest.raises(ValueError, match="adjudicated signs"):
+        r.graded_dimension(12)
 
 
 def test_codim_out_of_range():
