@@ -1,0 +1,91 @@
+"""The rewrite rules applied one at a time in a random order, for the tests.
+
+``reduce_with_order`` is the reference for :meth:`chowtaut.ring.TautRing.normal_form`
+(and so for ``multiply``): it must give the same normal form whatever order of
+rule applications ``rng`` picks, which tests confluence of the rewriting system.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from chowtaut.linalg import Rational, exact
+from chowtaut.ring import CycleClass, Gen, Monomial, TautRing, _pair
+
+
+def reduce_with_order(ring: TautRing, raw: Iterable[Gen], rng,
+                      coeff: Rational = 1) -> CycleClass:
+    """Apply the rewrite rules one at a time in an order chosen by rng.
+
+    Semantically identical to :meth:`TautRing.normal_form`; used to test
+    confluence of the rewriting system.
+    """
+    p = ring.p
+    hc: dict[int, int] = {}
+    oc: dict[int, int] = {}
+    taus: list[tuple[int, int]] = []
+    for g in raw:
+        if g[0] == "h":
+            hc[g[1]] = hc.get(g[1], 0) + 1
+        elif g[0] == "o":
+            oc[g[1]] = oc.get(g[1], 0) + 1
+        else:
+            taus.append(_pair(g[1], g[2]))
+    coeff = exact(coeff)
+    while True:
+        moves = []
+        for a in range(len(taus)):
+            for c in range(a + 1, len(taus)):
+                if taus[a] == taus[c]:
+                    moves.append(("tau_dup", a, c))
+                elif set(taus[a]) & set(taus[c]):
+                    moves.append(("tau_shared", a, c))
+        for i, n in hc.items():
+            if n >= 3:
+                moves.append(("h_cube", i))
+            if n and oc.get(i, 0):
+                moves.append(("kill_ho", i))
+        for i, n in oc.items():
+            if n >= 2:
+                moves.append(("kill_oo", i))
+        tau_idx = {x for pr in taus for x in pr}
+        for i in tau_idx:
+            if hc.get(i, 0):
+                moves.append(("kill_tau_h", i))
+            if oc.get(i, 0):
+                moves.append(("kill_tau_o", i))
+        if not moves:
+            break
+        move = moves[rng.randrange(len(moves))]
+        kind = move[0]
+        if kind == "tau_dup":
+            _, a, c = move
+            i, j = taus[a]
+            del taus[c], taus[a]
+            coeff *= p.eps2 * 2 * p.b
+            oc[i] = oc.get(i, 0) + 1
+            oc[j] = oc.get(j, 0) + 1
+        elif kind == "tau_shared":
+            _, a, c = move
+            i = (set(taus[a]) & set(taus[c])).pop()
+            j = (set(taus[a]) - {i}).pop()
+            k = (set(taus[c]) - {i}).pop()
+            del taus[c], taus[a]
+            coeff *= p.eps3
+            taus.append(_pair(j, k))
+            oc[i] = oc.get(i, 0) + 1
+        elif kind == "h_cube":
+            i = move[1]
+            hc[i] -= 3
+            oc[i] = oc.get(i, 0) + 1
+            coeff *= p.d
+        else:
+            return CycleClass()
+        if not coeff:
+            return CycleClass()
+    mon = Monomial(
+        h=tuple(sorted((i, e) for i, e in hc.items() if e)),
+        o=tuple(sorted(i for i, n in oc.items() if n)),
+        tau=tuple(sorted(taus)),
+    )
+    return CycleClass({mon: coeff})

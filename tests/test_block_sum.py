@@ -17,11 +17,11 @@ from chowtaut.oracle import (
 )
 from chowtaut.ring import RingParams, TautRing, perfect_matchings
 
-from span_reference import StandardMonomialSpan
+from span_reference import AllProductsSpan
 
 
 def assert_same_dims(model, m):
-    span, ref = SubalgebraSpan(model, m), StandardMonomialSpan(model, m)
+    span, ref = SubalgebraSpan(model, m), AllProductsSpan(model, m)
     for c in range(3 * m + 1):
         assert span.dimension(c) == ref.dimension(c), c
 
@@ -124,6 +124,20 @@ def test_builds_only_blocks_of_the_requested_codim(monkeypatch):
     assert powers and max(powers) <= 2
 
 
+def test_rank_stops_at_full_rank_at_b0(monkeypatch):
+    # At b = 0 the block is (2b)^s = 0 dimensional: the first matching, six taus,
+    # already reaches it, and none of the other 10,394 matchings is realized.
+    calls = []
+
+    def recording(gen, model, m):
+        calls.append(gen)
+        return realize(gen, model, m)
+
+    monkeypatch.setattr(oracle, "realize", recording)
+    assert SubalgebraSpan(CohomologyModel(2, 0), 12)._rank(12) == 0
+    assert 0 < len(calls) <= 6
+
+
 def test_codim_out_of_range():
     span = SubalgebraSpan(CohomologyModel(2, 1), 2)
     for c in (-1, 7, 9):
@@ -134,5 +148,5 @@ def test_codim_out_of_range():
 @pytest.mark.parametrize("b", [1, 2, 3])
 def test_adjudicate_dims_unchanged(b):
     model = CohomologyModel(2, b)
-    ref = StandardMonomialSpan(model, 2)
+    ref = AllProductsSpan(model, 2)
     assert adjudicate_signs(model).dims == tuple((c, ref.dimension(c)) for c in range(7))

@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -220,6 +222,18 @@ def test_reduce_huge_power_is_fast(capsys):
     assert out.strip() == "0"
 
 
+def test_reduce_prints_exact_integers_in_full(capsys):
+    # past Python's default int-to-str limit of 4300 digits; the limit is restored
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", "2^20000")
+    assert code == 0 and err == ""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7000
+        assert out.strip() == str(decimal.Decimal(2) ** 20000)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_oracle_compare_negative_codim_rejected(capsys):
     code, out, err = run(capsys, "oracle-compare", "--b", "1", "--m", "2",
                          "--max-codim", "-1")
@@ -283,6 +297,18 @@ def test_adjudicate_randomized_compares_dims(capsys, monkeypatch):
     rep = json.loads(out)
     assert rep["sym_relation_verified"] is True
     assert rep["stable"] is False and rep["passed"] is False
+    assert code == 1
+
+
+def test_adjudicate_fails_on_signs_other_than_printed(capsys, monkeypatch):
+    # a model that derived eps2 = +1 contradicts the signs every certificate prints
+    real = cli.adjudicate_signs
+    monkeypatch.setattr(cli, "adjudicate_signs",
+                        lambda model: dataclasses.replace(real(model), eps2=1))
+    code, out, _ = run(capsys, "adjudicate", "--b", "1")
+    rep = json.loads(out)
+    assert rep["sym_relation_verified"] is True and rep["eps2"] == 1
+    assert rep["passed"] is False
     assert code == 1
 
 

@@ -20,7 +20,7 @@ from chowtaut.oracle import (
 )
 from chowtaut.ring import RingParams, TautRing
 
-from span_reference import StandardMonomialSpan
+from span_reference import AllProductsSpan
 
 
 def model(d=2, b=1):
@@ -203,7 +203,7 @@ class TestSpanDimension:
         assert SubalgebraSpan(model(d=3, b=2), 2).dimension(0) == 1
 
     def test_codim_out_of_range(self):
-        span = StandardMonomialSpan(model(b=1), 2)
+        span = AllProductsSpan(model(b=1), 2)
         unit = tensor_unit(span.model, 2)
         for c in (-1, 7, 9):
             for call in (span.basis, span.dimension, lambda c: span.contains(unit, c)):
@@ -212,7 +212,7 @@ class TestSpanDimension:
 
     def test_contains_rejects_other_power_or_model(self):
         mod = model(d=2, b=1)
-        span = StandardMonomialSpan(mod, 2)
+        span = AllProductsSpan(mod, 2)
         for x in (TensorClass(mod, 3), realize(("h", 1), CohomologyModel(5, 1), 2)):
             with pytest.raises(ValueError, match="different models or powers"):
                 span.contains(x, 1)
@@ -240,7 +240,7 @@ class TestPoincareDuality:
     @pytest.mark.parametrize("b,m", [(1, 2), (2, 2), (1, 3)])
     def test_pairing_nondegenerate(self, b, m):
         mod = model(d=2, b=b)
-        span = StandardMonomialSpan(mod, m)
+        span = AllProductsSpan(mod, m)
         top = 3 * m
         for c in range(top + 1):
             lo, hi = span.basis(c), span.basis(top - c)

@@ -13,9 +13,10 @@ from chowtaut.ring import (
     RingParams,
     TautRing,
     perfect_matchings,
-    reduce_with_order,
     relabel,
 )
+
+from ring_reference import reduce_with_order
 
 
 def ring(d=2, b=1, m=2, **kw):
