@@ -16,11 +16,13 @@ import sys
 from . import __version__
 from .catalog import catalog_get, load_catalog, serialize_catalog
 from .correspond import ck_projectors, involution_check, verify_ck, verify_mck
-from .exprparse import parse_expr
+from .exprparse import MAX_DIGITS, parse_expr
 from .oracle import CohomologyModel, SubalgebraSpan, adjudicate_signs
 from .ring import RingParams, TautRing
 
 ENGINE = f"chowtaut {__version__}"
+# the adjudicated signs every certificate prints
+SIGNS = {"eps2": RingParams.eps2, "eps3": RingParams.eps3}
 
 
 class CliError(Exception):
@@ -40,10 +42,6 @@ def _params_from_args(args) -> tuple[int, int, str | None]:
     if args.d is None or args.b is None:
         raise CliError("supply either --label or both --d and --b")
     return args.d, args.b, None
-
-
-def _sign_dict(p: RingParams) -> dict:
-    return {"eps2": p.eps2, "eps3": p.eps3}
 
 
 def cmd_list(args) -> int:
@@ -89,7 +87,7 @@ def cmd_verify_ck(args) -> int:
     cert = {
         "engine": ENGINE,
         "params": {"d": d, "b": b, "label": label},
-        "signs": _sign_dict(p),
+        "signs": SIGNS,
         "ck": report.to_dict()["checks"],
         "passed": report.passed,
     }
@@ -108,7 +106,7 @@ def cmd_verify_mck(args) -> int:
     cert = {
         "engine": ENGINE,
         "params": {"d": d, "b": b, "label": label},
-        "signs": _sign_dict(p),
+        "signs": SIGNS,
         "ck": ck.to_dict()["checks"],
         "mck": mck.to_dict()["entries"],
         "involution": involution_ok,
@@ -133,7 +131,7 @@ def cmd_oracle_compare(args) -> int:
     print(json.dumps({
         "engine": ENGINE,
         "params": {"d": p.d, "b": p.b, "m": p.m},
-        "signs": _sign_dict(p),
+        "signs": SIGNS,
         "rows": rows,
         "passed": ok,
     }))
@@ -155,8 +153,8 @@ def cmd_adjudicate(args) -> int:
     result["engine"] = ENGINE
     result["d"] = args.d
     # the model must derive the signs every other certificate prints
-    p = RingParams(args.d, args.b, 2)
-    passed = report.sym_relation_verified and (report.eps2, report.eps3) == (p.eps2, p.eps3)
+    passed = (report.sym_relation_verified
+              and {"eps2": report.eps2, "eps3": report.eps3} == SIGNS)
     if args.randomized:
         rng = random.Random(args.seed)
         stable = [adjudicate_signs(CohomologyModel.random_basis(args.d, args.b, rng)) == report
@@ -231,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Exact integers print in full: lift Python's int-to-str digit limit for
-    # this run, and restore it for in-process callers.
+    # Exact integers print in full up to MAX_DIGITS digits: set Python's
+    # int-to-str digit limit to it for this run, and restore it for in-process callers.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

@@ -15,10 +15,15 @@ CycleClass x printed by :meth:`chowtaut.ring.CycleClass.__str__`.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
-from .ring import CycleClass, TautRing
+from .ring import ONE, CycleClass, TautRing
+
+# Exact coefficients print in full up to this many decimal digits.  A power
+# whose constant term alone would pass it is refused before it is computed.
+MAX_DIGITS = 100_000
 
 
 class ExprSyntaxError(ValueError):
@@ -117,7 +122,13 @@ class _Parser:
             k, v, pos, _ = self.next()
             if k != "nat":
                 raise ExprSyntaxError("expected a natural number exponent", pos)
-            return self.ring.power(base, int(v))
+            n = int(v)
+            c0 = base.coefficient(ONE)
+            size = max(abs(c0.numerator), c0.denominator)
+            if size > 1 and n >= MAX_DIGITS / math.log10(size):
+                raise ExprSyntaxError(f"the constant term of this power would pass the "
+                                      f"{MAX_DIGITS}-digit bound on coefficients", pos)
+            return self.ring.power(base, n)
         return base
 
     def atom(self) -> CycleClass:

@@ -13,8 +13,8 @@ plus, whenever m >= 2b+2, the vanishing of the symmetrized tau products
 Fraction where a denominator remains, and never a float: each input goes
 through :func:`chowtaut.linalg.exact`.
 
-Default signs (eps2 = -1, eps3 = +1, plain unsigned symmetrization) are the
-ones adjudicated by the cohomology tensor model in :mod:`chowtaut.oracle`.
+The signs eps2 = -1, eps3 = +1 (plain unsigned symmetrization) are constants
+on :class:`RingParams`, adjudicated by the tensor model in :mod:`chowtaut.oracle`.
 """
 
 from __future__ import annotations
@@ -35,32 +35,25 @@ class RingParams:
     """Numerical data fixing the ring R*(Y^m).
 
     d is the degree (integral of h^3 over Y), b is half the dimension of
-    the odd cohomology, m the power of Y.  eps2 is the sign in the tau^2
-    relation; eps3, the sign in the shared-index relation, is fixed at +1
-    (projector idempotency forces it, and the tensor model confirms it).
+    the odd cohomology, m the power of Y.  The signs are class constants,
+    not fields: eps2 = -1 in the tau^2 relation and eps3 = +1 in the
+    shared-index relation, as :func:`chowtaut.oracle.adjudicate_signs` derives.
     """
 
     d: int
     b: int
     m: int
-    eps2: int = -1
+    eps2: ClassVar[int] = -1
     eps3: ClassVar[int] = 1
 
     def __post_init__(self):
-        require_ints(d=self.d, b=self.b, m=self.m, eps2=self.eps2)
+        require_ints(d=self.d, b=self.b, m=self.m)
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if self.b < 0:
             raise ValueError("b must be non-negative")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.eps2 not in (1, -1):
-            raise ValueError("eps2 must be +1 or -1")
-
-    @classmethod
-    def paper_signs(cls, d: int, b: int, m: int) -> "RingParams":
-        """Signs as literally printed in the source presentation (tau^2 = +2b o o)."""
-        return cls(d, b, m, eps2=1)
 
 
 @dataclass(frozen=True)
@@ -435,22 +428,16 @@ class TautRing:
         """Dimension of the codim-c piece of the quotient by the relator ideal.
 
         The coefficient of x^c in the Hilbert series of :meth:`graded_dimensions`,
-        under the same sign condition, taken term by term with
-        :func:`slot_weight_count`, so only I_b(p) for 3p <= c is counted.
+        taken term by term with :func:`slot_weight_count`, so only I_b(p) for
+        3p <= c is counted.
         """
         p = self.p
         m = p.m
         if not 0 <= c <= 3 * m:
             raise ValueError(f"codimension {c} out of range 0..{3 * m}")
-        self._require_adjudicated_signs()
         invariants = symplectic_invariant_counts(p.b, min(m // 2, c // 3))
         return sum(math.comb(m, 2 * q) * count * slot_weight_count(m - 2 * q, c - 3 * q)
                    for q, count in enumerate(invariants))
-
-    def _require_adjudicated_signs(self) -> None:
-        if self.p.eps2 != -1:
-            raise ValueError("graded dimensions are known only for the adjudicated "
-                             f"signs eps2=-1, eps3=1, not eps2={self.p.eps2}")
 
     def graded_dimensions(self) -> list[int]:
         """Dimensions of R^c(Y^m) for c = 0..3m, from the Hilbert series
@@ -468,9 +455,8 @@ class TautRing:
 
         This holds only for the adjudicated sign eps2 = -1: with eps2 = +1
         the relator ideal is not the kernel to cohomology (it already
-        contains the point class at b=1, m=4), so eps2 = +1 raises
-        ValueError.  Checked against the brute-force quotient,
-        len(graded_basis(c)) - rank(relator_vectors(c)), for m <= 5, b <= 3,
+        contains the point class at b=1, m=4).  Checked against the brute-force
+        quotient, len(graded_basis(c)) - rank(relator_vectors(c)), for m <= 5, b <= 3,
         against the tensor model for b in {1, 2}, m <= 5, at (1, 6), (3, 4) (tests)
         and (1, 7), (3, 6), (3, 7), (2, 8), (2, 9), (1, 10) (CI), and once against
         an exact h-free elimination for b <= 3, m <= 6 and at (0, 7),
@@ -482,7 +468,6 @@ class TautRing:
         coefficient in closed form instead.  Each form is the faster one for
         its job: for all 3m+1 codims the table beats 3m+1 closed-form sums.
         """
-        self._require_adjudicated_signs()
         p = self.p
         m = p.m
         invariants = symplectic_invariant_counts(p.b, m // 2)

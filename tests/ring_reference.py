@@ -1,8 +1,12 @@
-"""The rewrite rules applied one at a time in a random order, for the tests.
+"""The rewrite rules applied one at a time in a random order, and the paper's sign, for the tests.
 
 ``reduce_with_order`` is the reference for :meth:`chowtaut.ring.TautRing.normal_form`
 (and so for ``multiply``): it must give the same normal form whatever order of
 rule applications ``rng`` picks, which tests confluence of the rewriting system.
+
+``PaperSigns`` is the ring data with tau^2 = +2b o o, the sign the source
+presentation prints; the tests use it as the witness that this sign collapses
+the ring.
 """
 
 from __future__ import annotations
@@ -10,7 +14,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from chowtaut.linalg import Rational, exact
-from chowtaut.ring import CycleClass, Gen, Monomial, TautRing, _pair
+from chowtaut.ring import CycleClass, Gen, Monomial, RingParams, TautRing, _pair
+
+
+class PaperSigns(RingParams):
+    """RingParams with eps2 = +1, as the source presentation prints it."""
+
+    eps2 = 1
 
 
 def reduce_with_order(ring: TautRing, raw: Iterable[Gen], rng,

@@ -111,6 +111,15 @@ def test_dims_json(capsys):
     assert json.loads(out) == [1, 2, 3, 5, 3, 2, 1]
 
 
+def test_dims_text_prints_one_line_per_codim(capsys):
+    _, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "3", "--json")
+    dims = json.loads(out)
+    code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "3")
+    assert code == 0
+    assert out.splitlines() == [f"codim {c}: {v}" for c, v in enumerate(dims)]
+    assert len(dims) == 10
+
+
 def test_dims_single_codim(capsys):
     code, out, _ = run(capsys, "dims", "--d", "2", "--b", "1", "--m", "2",
                        "--codim", "3", "--json")
@@ -220,6 +229,24 @@ def test_reduce_huge_power_is_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("expr", ["2^10000000", "2^1000000000", "(3/2)^10000000"])
+def test_reduce_refuses_power_past_digit_bound_quickly(capsys, expr):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", expr)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert "100000-digit bound" in json.loads(err)["error"]
+
+
+def test_reduce_power_with_unit_constant_term(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2",
+                         "(1+h_1)^100000000")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0 and err == ""
+    assert out == "1 + 100000000*h_1 + 4999999950000000*h_1^2 + 333333323333333400000000*o_1\n"
 
 
 def test_reduce_prints_exact_integers_in_full(capsys):

@@ -50,6 +50,11 @@ class TestPushforward:
         r = TautRing(params(m=2))
         assert pushforward_forget(r, r.o(1), {2}).is_zero()
 
+    def test_inhomogeneous_rejected(self):
+        r = TautRing(params(m=2))
+        with pytest.raises(ValueError, match="homogeneous"):
+            pushforward_forget(r, r.h(1) + r.o(2), {2})
+
     @pytest.mark.parametrize("forget", [{3}, {1}, {2}, {1, 3}])
     def test_matches_tensor_model(self, forget):
         # the one-rule pushforward agrees with honest slot integration in the model
@@ -186,6 +191,12 @@ class TestProjectors:
         with pytest.raises(ValueError, match="one RingParams"):
             ProjectorSet(tuple(pi))
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_wrong_projector_count_rejected(self, n):
+        pi = ck_projectors(params()).pi
+        with pytest.raises(ValueError, match="seven projectors"):
+            ProjectorSet((pi + pi)[:n])
+
     def test_non_correspondence_rejected(self):
         pi = list(ck_projectors(params()).pi)
         pi[0] = pi[0].cls
@@ -267,6 +278,11 @@ class TestSmallDiagonal:
     def test_codim_6(self):
         dsm = small_diagonal(TautRing(params(d=2, b=1, m=3)))
         assert dsm.codim == 6
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_other_powers_rejected(self, m):
+        with pytest.raises(ValueError, match="lives on Y\\^3"):
+            small_diagonal(TautRing(params(m=m)))
 
     def test_contains_tau12_o3(self):
         # the shared-index relation folds tau_{1,3} tau_{2,3} into tau_{1,2} o_3

@@ -15,7 +15,9 @@ from chowtaut.ring import (
     symplectic_invariant_counts,
 )
 
-SIGNS = {"adjudicated": RingParams, "paper": RingParams.paper_signs}
+from ring_reference import PaperSigns
+
+SIGNS = {"adjudicated": RingParams, "paper": PaperSigns}
 
 
 def brute_dimension(r, c):
@@ -90,7 +92,7 @@ def test_invariant_counts_known_values():
 @pytest.mark.parametrize("signs", sorted(SIGNS))
 @pytest.mark.parametrize("b", [0, 1, 2, 3])
 def test_matches_brute_force_and_ignores_d(b, signs):
-    """The closed form is the brute-force quotient; under paper signs it is refused."""
+    """The closed form is the brute-force quotient; under either sign that quotient ignores d."""
     for m in range(1, 6):
         by_d = {}
         for d in (1, 2, 22):
@@ -98,9 +100,6 @@ def test_matches_brute_force_and_ignores_d(b, signs):
             brute = [brute_dimension(r, c) for c in range(3 * m + 1)]
             if signs == "adjudicated":
                 assert r.graded_dimensions() == brute, (d, m)
-            else:
-                with pytest.raises(ValueError, match="adjudicated signs"):
-                    r.graded_dimensions()
             by_d[d] = brute
         assert by_d[1] == by_d[2] == by_d[22], m
 
@@ -108,7 +107,7 @@ def test_matches_brute_force_and_ignores_d(b, signs):
 def test_paper_signs_ring_collapses():
     # Under eps2 = +1, tau_{1,2} * R(1..4) = 32 o_1 o_2 t_{3,4}; times t_{3,4}
     # that puts the point class in the ideal, so the degree map is lost.
-    r = TautRing(RingParams.paper_signs(2, 1, 4))
+    r = TautRing(PaperSigns(2, 1, 4))
     assert brute_dimension(r, 12) == 0
     assert TautRing(RingParams(2, 1, 4)).graded_dimension(12) == 1
 
@@ -141,14 +140,6 @@ def test_single_codim_matches_full_vector_at_catalog_scale(b, m):
     dims = r.graded_dimensions()
     for c in (0, 1, 3, 45, 90, 3 * m):
         assert r.graded_dimension(c) == dims[c], c
-
-
-def test_single_codim_refuses_paper_signs_after_range_check():
-    r = TautRing(RingParams.paper_signs(2, 1, 4))
-    with pytest.raises(ValueError, match="out of range"):
-        r.graded_dimension(13)
-    with pytest.raises(ValueError, match="adjudicated signs"):
-        r.graded_dimension(12)
 
 
 def test_codim_out_of_range():

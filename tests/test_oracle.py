@@ -57,6 +57,12 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(("h", 3), model(), 2)
 
+    @pytest.mark.parametrize("gen, match", [(("x", 1), "unknown generator"),
+                                            (("tau", 2, 2), "distinct indices")])
+    def test_bad_generator_rejected(self, gen, match):
+        with pytest.raises(ValueError, match=match):
+            realize(gen, model(), 2)
+
 
 class TestTensorMultiply:
     def test_slotwise_even(self):
@@ -137,6 +143,17 @@ class TestTensorMultiply:
         for d, b in [(2.5, 1), (2, 1.0), (2, True)]:
             with pytest.raises(ValueError, match="must be an integer"):
                 CohomologyModel(d, b)
+
+    @pytest.mark.parametrize("args, match", [
+        ((0, 1), "d >= 1"),
+        ((2, -1), "b >= 0"),
+        ((2, 1, ((0, 1),)), "2b x 2b"),
+        ((2, 1, ((0, 1), (1, 0))), "antisymmetric"),
+        ((2, 1, ((0, 0), (0, 0))), "singular"),
+    ], ids=["d", "b", "shape", "symmetric", "singular"])
+    def test_bad_model_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            CohomologyModel(*args)
 
 
 class TestRewriteRulesHoldInModel:
@@ -292,3 +309,13 @@ class TestLinalg:
         basis.add({1: 1, 2: 1})
         assert basis.contains({0: 2, 1: 5, 2: 1})
         assert not basis.contains({0: 1, 2: 1, 3: 1})
+
+    def test_reduction_step_divides_out_the_content(self):
+        # (1, 3) - (1, 1) leaves (0, 2): the step's common factor 2 is divided out
+        basis = SparseRowBasis()
+        assert basis.add({0: 1, 1: 1})
+        assert basis.add({0: 1, 1: 3})
+        assert basis.pivots == {0: {0: 1, 1: 1}, 1: {1: 1}}
+        assert basis.rank == 2
+        assert not basis.add({0: 5, 1: -7})
+        assert basis.rank == 2

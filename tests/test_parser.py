@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowtaut.exprparse import ExprSyntaxError, parse_expr
-from chowtaut.ring import CycleClass, RingParams, TautRing
+from chowtaut.exprparse import MAX_DIGITS, ExprSyntaxError, parse_expr
+from chowtaut.ring import ONE, CycleClass, RingParams, TautRing
 
 
-def ring(d=2, b=1, m=2, **kw):
-    return TautRing(RingParams(d, b, m, **kw))
+def ring(d=2, b=1, m=2):
+    return TautRing(RingParams(d, b, m))
 
 
 class TestExamples:
@@ -43,6 +43,14 @@ class TestExamples:
         r = ring()
         assert parse_expr("-h_1", r) == -r.h(1)
 
+    def test_trailing_whitespace(self):
+        r = ring()
+        assert parse_expr("h_1 + h_2 \t ", r) == r.h(1) + r.h(2)
+
+    def test_power_up_to_the_digit_bound(self):
+        top = parse_expr("2^332192", ring()).coefficient(ONE)
+        assert 10 ** (MAX_DIGITS - 1) <= top < 10 ** MAX_DIGITS
+
 
 class TestErrors:
     def test_syntax_error_has_position(self):
@@ -67,6 +75,25 @@ class TestErrors:
     def test_zero_denominator(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("1/0", ring())
+
+    @pytest.mark.parametrize("text, match", [
+        ("h_1^-1", "natural number exponent"),
+        ("t_1", "pair of indices"),
+        ("h_{1,2}", "single index"),
+        ("o_{1,2}", "single index"),
+    ])
+    def test_error_messages(self, text, match):
+        with pytest.raises(ExprSyntaxError, match=match):
+            parse_expr(text, ring())
+
+    @pytest.mark.parametrize("text", ["2^332193", "2^10000000", "(3/2)^10000000",
+                                      "(1/3 + h_1)^10000000", "(2^1000)^1000",
+                                      "2^" + "9" * 400],
+                             ids=["boundary", "int", "fraction", "fraction-plus-h", "nested",
+                                  "exponent-past-float"])
+    def test_power_past_the_digit_bound_refused(self, text):
+        with pytest.raises(ExprSyntaxError, match=f"{MAX_DIGITS}-digit bound"):
+            parse_expr(text, ring())
 
 
 class TestRoundTrip:

@@ -16,11 +16,11 @@ from chowtaut.ring import (
     relabel,
 )
 
-from ring_reference import reduce_with_order
+from ring_reference import PaperSigns, reduce_with_order
 
 
-def ring(d=2, b=1, m=2, **kw):
-    return TautRing(RingParams(d, b, m, **kw))
+def ring(d=2, b=1, m=2):
+    return TautRing(RingParams(d, b, m))
 
 
 def raw_nf(r, *gens, coeff=1):
@@ -85,9 +85,10 @@ class TestNormalForm:
             r.tau(2, 2)
 
     def test_paper_signs_mode(self):
-        r = ring(b=10, eps2=1)
+        r = TautRing(PaperSigns(2, 10, 2))
         got = raw_nf(r, ("tau", 1, 2), ("tau", 1, 2))
         assert got == r.multiply(r.o(1), r.o(2)).scale(20)
+        assert r.with_m(3).p == PaperSigns(2, 10, 3) != RingParams(2, 10, 3)
 
 
 class TestParams:
@@ -97,9 +98,17 @@ class TestParams:
         with pytest.raises(ValueError, match="must be an integer"):
             RingParams(*args)
 
+    @pytest.mark.parametrize("args, match", [((0, 1, 2), "d must be"),
+                                             ((2, -1, 2), "b must be"),
+                                             ((2, 1, 0), "m must be")])
+    def test_out_of_range_params_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            RingParams(*args)
+
     def test_non_integer_sign_rejected(self):
-        with pytest.raises(ValueError):
-            RingParams(2, 1, 2, eps2=-1.0)
+        # the signs are constants, not fields: no value can be passed, not even -1
+        with pytest.raises(TypeError):
+            RingParams(2, 1, 2, eps2=-1)
 
 
 def test_coefficients_are_exact_at_the_boundary():
@@ -167,6 +176,11 @@ class TestMultiply:
         assert r.power(r.zero(), 5).is_zero()
         assert r.power(r.zero(), 0) == r.one()
 
+    def test_negative_power_rejected(self):
+        r = ring()
+        with pytest.raises(ValueError, match="negative powers"):
+            r.power(r.h(1), -1)
+
     def test_grading_adds(self):
         rng = random.Random(11)
         r = ring(d=2, b=3, m=3)
@@ -225,10 +239,14 @@ class TestSymRelator:
         assert set(rel.terms.values()) == {Fraction(2 ** 3 * math.factorial(3))}
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            ring(b=1, m=3).sym_relator([1, 2, 3])  # m too small
-        with pytest.raises(ValueError):
-            ring(b=1, m=4).sym_relator([1, 2, 3])  # wrong cardinality
+        with pytest.raises(ValueError, match="too small"):
+            ring(b=1, m=3).sym_relator([1, 2, 3, 4])
+        with pytest.raises(ValueError, match="need 4 distinct"):
+            ring(b=1, m=4).sym_relator([1, 2, 3])
+
+    def test_perfect_matchings_need_an_even_count(self):
+        with pytest.raises(ValueError, match="even number"):
+            list(perfect_matchings([1, 2, 3]))
 
 
 class TestGradedBasis:
