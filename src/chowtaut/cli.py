@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: list, get, dims, verify-ck, verify-mck, oracle-compare,
-reduce, adjudicate.  Verification commands emit a JSON certificate on
-stdout and exit nonzero when a check fails; bad input produces a
-machine-readable JSON error on stderr.
+reduce, adjudicate.  Verification commands emit a JSON certificate, built
+here from the library's reports, on stdout and exit 1 when a check fails;
+bad input produces a machine-readable JSON error on stderr (exit 2).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import random
 import sys
 
 from . import __version__
-from .catalog import catalog_get, load_catalog, serialize_catalog
-from .correspond import ck_projectors, involution_check, verify_ck, verify_mck
+from .catalog import FanoRecord, catalog_get, load_catalog, serialize_catalog
+from .correspond import ProjectorSet, ck_projectors, involution_check, verify_ck, verify_mck
 from .exprparse import MAX_DIGITS, parse_expr
 from .oracle import CohomologyModel, SubalgebraSpan, adjudicate_signs
 from .ring import RingParams, TautRing
@@ -29,19 +29,31 @@ class CliError(Exception):
     pass
 
 
+def _record(label: str, catalog: str | None) -> FanoRecord:
+    """The catalog row with this label; an unknown label is an input error."""
+    try:
+        return catalog_get(label, load_catalog(catalog))
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from None
+
+
 def _params_from_args(args) -> tuple[int, int, str | None]:
     """Resolve (d, b) from --label or from --d/--b."""
-    if getattr(args, "label", None) is not None:
+    if args.label is not None:
         if args.d is not None or args.b is not None:
             raise CliError("supply either --label or both --d and --b, not both")
-        try:
-            rec = catalog_get(args.label, load_catalog(getattr(args, "catalog", None)))
-        except KeyError as exc:
-            raise CliError(exc.args[0]) from None
+        rec = _record(args.label, args.catalog)
         return rec.degree, rec.h12, rec.label
     if args.d is None or args.b is None:
         raise CliError("supply either --label or both --d and --b")
     return args.d, args.b, None
+
+
+def _emit(cert: dict, passed: bool) -> int:
+    """Print a certificate with its verdict as the last key; exit 0 iff it passed."""
+    cert["passed"] = passed
+    print(json.dumps(cert))
+    return 0 if passed else 1
 
 
 def cmd_list(args) -> int:
@@ -57,11 +69,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_get(args) -> int:
-    try:
-        rec = catalog_get(args.label, load_catalog(args.catalog))
-    except KeyError as exc:
-        raise CliError(exc.args[0]) from None
-    print(json.dumps(rec.to_dict()))
+    print(json.dumps(_record(args.label, args.catalog).to_dict()))
     return 0
 
 
@@ -80,40 +88,28 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def cmd_verify_ck(args) -> int:
+def _ck_certificate(args) -> tuple[ProjectorSet, dict, bool]:
+    """The CK projectors, the CK certificate without its verdict, and the verdict."""
     d, b, label = _params_from_args(args)
-    p = RingParams(d, b, 2)
-    report = verify_ck(ck_projectors(p))
-    cert = {
-        "engine": ENGINE,
-        "params": {"d": d, "b": b, "label": label},
-        "signs": SIGNS,
-        "ck": report.to_dict()["checks"],
-        "passed": report.passed,
-    }
-    print(json.dumps(cert))
-    return 0 if report.passed else 1
+    ps = ck_projectors(RingParams(d, b, 2))
+    report = verify_ck(ps)
+    cert = {"engine": ENGINE, "params": {"d": d, "b": b, "label": label}, "signs": SIGNS,
+            "ck": [{"check": c.name, "ok": c.ok, "residual": c.residual}
+                   for c in report.checks]}
+    return ps, cert, report.passed
+
+
+def cmd_verify_ck(args) -> int:
+    _, cert, passed = _ck_certificate(args)
+    return _emit(cert, passed)
 
 
 def cmd_verify_mck(args) -> int:
-    d, b, label = _params_from_args(args)
-    p = RingParams(d, b, 2)
-    ps = ck_projectors(p)
-    ck = verify_ck(ps)
+    ps, cert, ck_passed = _ck_certificate(args)
     mck = verify_mck(ps)
-    involution_ok = involution_check()
-    passed = ck.passed and mck.passed and involution_ok
-    cert = {
-        "engine": ENGINE,
-        "params": {"d": d, "b": b, "label": label},
-        "signs": SIGNS,
-        "ck": ck.to_dict()["checks"],
-        "mck": mck.to_dict()["entries"],
-        "involution": involution_ok,
-        "passed": passed,
-    }
-    print(json.dumps(cert))
-    return 0 if passed else 1
+    cert["mck"] = [[e.i, e.j, e.k, e.value.is_zero()] for e in mck.entries]
+    cert["involution"] = involution_check()
+    return _emit(cert, ck_passed and mck.passed and cert["involution"])
 
 
 def cmd_oracle_compare(args) -> int:
@@ -123,35 +119,25 @@ def cmd_oracle_compare(args) -> int:
     ring_dims = TautRing(p).graded_dimensions()
     span = SubalgebraSpan(CohomologyModel(p.d, p.b), p.m)
     max_c = 3 * p.m if args.max_codim is None else min(args.max_codim, 3 * p.m)
-    rows = []
-    for c in range(max_c + 1):
-        model_dim = span.dimension(c)
-        rows.append([c, ring_dims[c], model_dim, ring_dims[c] == model_dim])
-    ok = bool(rows) and all(row[3] for row in rows)
-    print(json.dumps({
-        "engine": ENGINE,
-        "params": {"d": p.d, "b": p.b, "m": p.m},
-        "signs": SIGNS,
-        "rows": rows,
-        "passed": ok,
-    }))
-    return 0 if ok else 1
+    model_dims = [span.dimension(c) for c in range(max_c + 1)]
+    rows = [[c, ring_dims[c], n, ring_dims[c] == n] for c, n in enumerate(model_dims)]
+    cert = {"engine": ENGINE, "params": {"d": p.d, "b": p.b, "m": p.m},
+            "signs": SIGNS, "rows": rows}
+    return _emit(cert, bool(rows) and all(row[3] for row in rows))
 
 
 def cmd_reduce(args) -> int:
-    cls = parse_expr(args.expr, TautRing(RingParams(args.d, args.b, args.m)))
-    print(str(cls))
+    print(parse_expr(args.expr, TautRing(RingParams(args.d, args.b, args.m))))
     return 0
 
 
 def cmd_adjudicate(args) -> int:
     if args.randomized < 0:
         raise CliError("--randomized must be non-negative")
-    model = CohomologyModel(args.d, args.b)
-    report = adjudicate_signs(model)
-    result = report.to_dict()
-    result["engine"] = ENGINE
-    result["d"] = args.d
+    report = adjudicate_signs(CohomologyModel(args.d, args.b))
+    cert = {"b": report.b, "eps2": report.eps2, "eps3": report.eps3,
+            "sym_relation_verified": report.sym_relation_verified,
+            "dims": [list(pair) for pair in report.dims], "engine": ENGINE, "d": args.d}
     # the model must derive the signs every other certificate prints
     passed = (report.sym_relation_verified
               and {"eps2": report.eps2, "eps3": report.eps3} == SIGNS)
@@ -159,12 +145,10 @@ def cmd_adjudicate(args) -> int:
         rng = random.Random(args.seed)
         stable = [adjudicate_signs(CohomologyModel.random_basis(args.d, args.b, rng)) == report
                   for _ in range(args.randomized)]
-        result["randomized_bases"] = args.randomized
-        result["stable"] = all(stable)
-        passed = passed and result["stable"]
-    result["passed"] = passed
-    print(json.dumps(result))
-    return 0 if result["passed"] else 1
+        cert["randomized_bases"] = args.randomized
+        cert["stable"] = all(stable)
+        passed = passed and cert["stable"]
+    return _emit(cert, passed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -194,9 +194,6 @@ class CheckResult:
     ok: bool
     residual: str
 
-    def to_dict(self) -> dict:
-        return {"check": self.name, "ok": self.ok, "residual": self.residual}
-
 
 @dataclass(frozen=True)
 class CKReport:
@@ -206,9 +203,6 @@ class CKReport:
     def passed(self) -> bool:
         """True iff at least one check ran and every check held."""
         return bool(self.checks) and all(c.ok for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 def verify_ck(ps: ProjectorSet) -> CKReport:
@@ -276,12 +270,6 @@ class MCKReport:
             raise ValueError(f"MCK entry indices must lie in 0..6, got ({i}, {j}, {k})")
         return self.entries[49 * i + 7 * j + k]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "entries": [[e.i, e.j, e.k, e.value.is_zero()] for e in self.entries],
-        }
-
 
 def verify_mck(ps: ProjectorSet) -> MCKReport:
     """Evaluate pi^k o Delta^sm o (pi^i x pi^j) for all 343 triples.
@@ -298,9 +286,8 @@ def verify_mck(ps: ProjectorSet) -> MCKReport:
     i + j = k are reported but not asserted.
     """
     ring4 = TautRing(ps.params).with_m(4)
-    transposes = [f.transpose() for f in ps.pi]
-    firsts = [relabel(f.cls, {2: 2}, ring4) for f in transposes]
-    seconds = [relabel(f.cls, {2: 3}, ring4) for f in transposes]
+    firsts = [f.transpose().cls for f in ps.pi]
+    seconds = [relabel(f, {2: 3}, ring4) for f in firsts]
     thirds = [relabel(f.cls, {2: 4}, ring4) for f in ps.pi]
     entries: list[MCKEntry] = []
     for i, j in itertools.product(range(7), repeat=2):

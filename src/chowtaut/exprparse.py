@@ -15,15 +15,22 @@ CycleClass x printed by :meth:`chowtaut.ring.CycleClass.__str__`.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 
 from .ring import ONE, CycleClass, TautRing
 
-# Exact coefficients print in full up to this many decimal digits.  A power
-# whose constant term alone would pass it is refused before it is computed.
+# Exact coefficients print in full up to this many decimal digits.  The parser refuses
+# any number it reads or forms past it, and a power whose constant term would pass it.
 MAX_DIGITS = 100_000
+_PAST_BOUND = f"passes the {MAX_DIGITS}-digit bound on coefficients"
+
+
+@functools.cache
+def _digit_limit() -> int:
+    return 10 ** MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
 
 class ExprSyntaxError(ValueError):
@@ -96,21 +103,21 @@ class _Parser:
         if negate:
             acc = -acc
         while True:
-            kind, val, *_ = self.peek()
+            kind, val, pos, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                acc = acc - rhs if val == "-" else acc + rhs
+                acc = self.bounded(acc - rhs if val == "-" else acc + rhs, pos)
             else:
                 return acc
 
     def term(self) -> CycleClass:
         acc = self.factor()
         while True:
-            kind, val, *_ = self.peek()
+            kind, val, pos, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                acc = self.ring.multiply(acc, self.factor())
+                acc = self.bounded(self.ring.multiply(acc, self.factor()), pos)
             else:
                 return acc
 
@@ -122,26 +129,41 @@ class _Parser:
             k, v, pos, _ = self.next()
             if k != "nat":
                 raise ExprSyntaxError("expected a natural number exponent", pos)
-            n = int(v)
+            n = self.number(v, pos)
             c0 = base.coefficient(ONE)
             size = max(abs(c0.numerator), c0.denominator)
             if size > 1 and n >= MAX_DIGITS / math.log10(size):
                 raise ExprSyntaxError(f"the constant term of this power would pass the "
                                       f"{MAX_DIGITS}-digit bound on coefficients", pos)
-            return self.ring.power(base, n)
+            return self.bounded(self.ring.power(base, n), pos)
         return base
+
+    def bounded(self, value: CycleClass, pos: int) -> CycleClass:
+        """value, unless one of its numerators or denominators passes MAX_DIGITS."""
+        # the bit length spares computing the limit for all but huge integers
+        if any(n.bit_length() > 3 * MAX_DIGITS and abs(n) >= _digit_limit()
+               for c in value.terms.values() for n in (c.numerator, c.denominator)):
+            raise ExprSyntaxError(f"a coefficient here {_PAST_BOUND}", pos)
+        return value
+
+    def number(self, text: str, pos: int) -> int:
+        """int(text), refused before it is converted if it has over MAX_DIGITS digits."""
+        digits = text.lstrip("0") or "0"
+        if len(digits) > MAX_DIGITS:
+            raise ExprSyntaxError(f"this number {_PAST_BOUND}", pos)
+        return int(digits)
 
     def atom(self) -> CycleClass:
         kind, val, pos, m = self.next()
         if kind == "nat":
-            num = int(val)
+            num = self.number(val, pos)
             k, v, *_ = self.peek()
             if k == "op" and v == "/":
                 self.next()
                 k2, v2, pos2, _ = self.next()
-                if k2 != "nat" or int(v2) == 0:
+                if k2 != "nat" or (den := self.number(v2, pos2)) == 0:
                     raise ExprSyntaxError("expected a nonzero denominator", pos2)
-                return self.ring.scalar(Fraction(num, int(v2)))
+                return self.ring.scalar(Fraction(num, den))
             return self.ring.scalar(num)
         if kind == "gen":
             name, pair, index = m.group("name", "pair", "index")

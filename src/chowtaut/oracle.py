@@ -283,15 +283,6 @@ class AdjudicationReport:
     sym_relation_verified: bool
     dims: tuple[tuple[int, int], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "eps2": self.eps2,
-            "eps3": self.eps3,
-            "sym_relation_verified": self.sym_relation_verified,
-            "dims": [list(pair) for pair in self.dims],
-        }
-
 
 def _sign(lhs: TensorClass, rhs: TensorClass, message: str) -> int:
     """The sign s with lhs = s * rhs; ValueError(message) if there is none."""

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import itertools
 import json
 import os
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from chowtaut import cli
 from chowtaut.cli import main
-from chowtaut.correspond import CKReport, MCKReport
+from chowtaut.correspond import CheckResult, CKReport, MCKReport
 from chowtaut.ring import RingParams, TautRing
 
 
@@ -195,6 +196,62 @@ def test_oracle_compare(capsys):
     assert [row[1] for row in report["rows"]] == [1, 2, 3, 5, 3, 2, 1]
 
 
+# -- certificate JSON: key order and entry shapes ------------------------------
+
+CK_NAMES = ([f"pi^{i} o pi^{i} = pi^{i}" if i == j else f"pi^{i} o pi^{j} = 0"
+             for i in range(7) for j in range(7)]
+            + ["sum_i pi^i = Delta"] + [f"t(pi^{i}) = pi^{6 - i}" for i in range(7)])
+HEAD = '{"engine": "%s", "params": {"d": 2, "b": 1, %s}, "signs": {"eps2": -1, "eps3": 1}, '
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("verify-ck", ["engine", "params", "signs", "ck", "passed"]),
+    ("verify-mck", ["engine", "params", "signs", "ck", "mck", "involution", "passed"]),
+])
+def test_verify_certificate_layout(capsys, command, keys):
+    code, out, _ = run(capsys, command, "--d", "2", "--b", "1")
+    assert code == 0
+    cert = json.loads(out)
+    assert list(cert) == keys
+    assert out.startswith(HEAD % (cli.ENGINE, '"label": null') + '"ck": [')
+    assert out.endswith(('"involution": true, ' if "mck" in cert else "") + '"passed": true}\n')
+    assert [e["check"] for e in cert["ck"]] == CK_NAMES
+    assert all(list(e) == ["check", "ok", "residual"] and e["ok"] is True
+               and e["residual"] == "0" for e in cert["ck"])
+    if "mck" in cert:
+        assert [e[:3] for e in cert["mck"]] == [list(t) for t in
+                                                itertools.product(range(7), repeat=3)]
+        assert all(type(e[3]) is bool for e in cert["mck"])
+
+
+@pytest.mark.parametrize("command", ["verify-ck", "verify-mck"])
+def test_verify_certificate_failed_check_entry(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "verify_ck", lambda ps: CKReport((CheckResult("x", False, "h_1"),)))
+    code, out, _ = run(capsys, command, "--label", "2.3")
+    assert code == 1
+    assert '"ck": [{"check": "x", "ok": false, "residual": "h_1"}], ' in out
+    assert out.endswith('"passed": false}\n')
+
+
+def test_oracle_compare_certificate_layout(capsys):
+    code, out, _ = run(capsys, "oracle-compare", "--b", "1", "--m", "2")
+    assert code == 0
+    assert out == (HEAD % (cli.ENGINE, '"m": 2') + '"rows": [[0, 1, 1, true], [1, 2, 2, true], '
+                   '[2, 3, 3, true], [3, 5, 5, true], [4, 3, 3, true], [5, 2, 2, true], '
+                   '[6, 1, 1, true]], "passed": true}\n')
+
+
+@pytest.mark.parametrize("extra, tail", [
+    ([], ""), (["--randomized", "2"], '"randomized_bases": 2, "stable": true, '),
+], ids=["plain", "randomized"])
+def test_adjudicate_certificate_layout(capsys, extra, tail):
+    code, out, _ = run(capsys, "adjudicate", "--b", "1", *extra)
+    assert code == 0
+    assert out == ('{"b": 1, "eps2": -1, "eps3": 1, "sym_relation_verified": true, '
+                   '"dims": [[0, 1], [1, 2], [2, 3], [3, 5], [4, 3], [5, 2], [6, 1]], '
+                   f'"engine": "{cli.ENGINE}", "d": 2, {tail}"passed": true}}\n')
+
+
 def test_reduce(capsys):
     code, out, _ = run(capsys, "reduce", "--m", "2", "--d", "2", "--b", "10",
                        "t_{1,2}*h_1")
@@ -231,13 +288,24 @@ def test_reduce_huge_power_is_fast(capsys):
     assert out.strip() == "0"
 
 
-@pytest.mark.parametrize("expr", ["2^10000000", "2^1000000000", "(3/2)^10000000"])
+@pytest.mark.parametrize("expr", ["2^10000000", "2^1000000000", "(3/2)^10000000"] + [
+    # coefficients past the bound are refused as the parser forms them
+    pytest.param(expr, id=name) for name, expr in [
+        ("product", "2^300000*2^300000"), ("sum", "2^332192+2^332192"),
+        ("fraction-product", "(1/2)^300000*(1/2)^300000"), ("times-ten", "10^99999*10"),
+        ("literal", "1" + "0" * 100000), ("chain-of-100", "*".join(["3^200000"] * 100))]])
 def test_reduce_refuses_power_past_digit_bound_quickly(capsys, expr):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", expr)
     assert time.perf_counter() - t0 < 2.0
     assert code == 2 and out == ""
     assert "100000-digit bound" in json.loads(err)["error"]
+
+
+def test_reduce_prints_coefficient_of_max_digits(capsys):
+    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", "10^99999")
+    assert code == 0 and err == ""
+    assert out == "1" + "0" * 99999 + "\n"
 
 
 def test_reduce_power_with_unit_constant_term(capsys):

@@ -136,6 +136,15 @@ class TestCompose:
         with pytest.raises(ValueError):
             Correspondence(p, 1, 1, TautRing(params(m=3)).tau(1, 3))
 
+    def test_params_off_r_plus_s_rejected(self):
+        with pytest.raises(ValueError, match="must live on Y\\^\\(r\\+s\\)"):
+            Correspondence(params(m=3), 1, 1, TautRing(params(m=3)).o(1))
+
+    def test_inhomogeneous_class_rejected(self):
+        r = TautRing(params())
+        with pytest.raises(ValueError, match="must be homogeneous"):
+            Correspondence(r.p, 1, 1, r.o(1) + r.h(2))
+
     def test_apply_rejects_class_off_source(self):
         p = params()
         ps = ck_projectors(p)
@@ -391,6 +400,10 @@ class TestInvolution:
 
     def test_plus_projector_does_not_vanish(self):
         assert involution_expansion(sign=1, identify_triple=True)
+
+    def test_sign_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            involution_expansion(sign=2)
 
 
 # -- helpers ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from chowtaut.oracle import (
     CohomologyModel,
     SubalgebraSpan,
     TensorClass,
+    _sign,
     adjudicate_signs,
     realize,
     realize_monomial,
@@ -203,9 +205,18 @@ class TestAdjudication:
         assert adjudicate_signs(model(b=2)) == adjudicate_signs(model(b=2))
 
     def test_report_shape(self):
-        rep = adjudicate_signs(model(d=2, b=1)).to_dict()
-        assert set(rep) == {"b", "eps2", "eps3", "sym_relation_verified", "dims"}
-        assert rep["dims"] == [[0, 1], [1, 2], [2, 3], [3, 5], [4, 3], [5, 2], [6, 1]]
+        rep = adjudicate_signs(model(d=2, b=1))
+        assert {f.name for f in dataclasses.fields(rep)} == {
+            "b", "eps2", "eps3", "sym_relation_verified", "dims"}
+        assert [list(pair) for pair in rep.dims] == [
+            [0, 1], [1, 2], [2, 3], [3, 5], [4, 3], [5, 2], [6, 1]]
+
+    def test_sign_of_non_proportional_tensors_rejected(self):
+        mod = model()
+        h1, o1 = realize(("h", 1), mod, 2), realize(("o", 1), mod, 2)
+        assert _sign(h1.scale(-1), h1, "unused") == -1
+        with pytest.raises(ValueError, match="not proportional"):
+            _sign(h1, o1, "h_1 is not proportional to o_1")
 
     def test_b0_rejected(self):
         with pytest.raises(ValueError):

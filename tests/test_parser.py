@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,18 @@ from chowtaut.ring import ONE, CycleClass, RingParams, TautRing
 
 def ring(d=2, b=1, m=2):
     return TautRing(RingParams(d, b, m))
+
+
+@pytest.fixture
+def cli_digit_limit():
+    """Python's int/str conversion limit set to MAX_DIGITS, as the CLI sets it."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 class TestExamples:
@@ -50,6 +63,13 @@ class TestExamples:
     def test_power_up_to_the_digit_bound(self):
         top = parse_expr("2^332192", ring()).coefficient(ONE)
         assert 10 ** (MAX_DIGITS - 1) <= top < 10 ** MAX_DIGITS
+
+    @pytest.mark.parametrize("text", ["9" * MAX_DIGITS, "0" + "9" * MAX_DIGITS,
+                                      "1/" + "9" * MAX_DIGITS, "10^99999"],
+                             ids=["literal", "leading-zero", "denominator", "power"])
+    def test_coefficient_of_max_digits_accepted(self, cli_digit_limit, text):
+        c = parse_expr(text, ring()).coefficient(ONE)
+        assert len(str(max(c.numerator, c.denominator))) == MAX_DIGITS
 
 
 class TestErrors:
@@ -94,6 +114,24 @@ class TestErrors:
     def test_power_past_the_digit_bound_refused(self, text):
         with pytest.raises(ExprSyntaxError, match=f"{MAX_DIGITS}-digit bound"):
             parse_expr(text, ring())
+
+    @pytest.mark.parametrize("text, pos", [
+        ("2^300000*2^300000", 8),
+        ("2^332192+2^332192", 8),
+        ("-2^332192-2^332192", 9),
+        ("(1/2)^300000*(1/2)^300000", 12),
+        ("10^99999*10", 8),
+        ("9" * MAX_DIGITS + "+1", MAX_DIGITS),
+        ("1" + "0" * MAX_DIGITS, 0),
+        ("1/1" + "0" * MAX_DIGITS, 2),
+        ("(1 + 3^150000*h_1)^2", 19),
+    ], ids=["product", "sum", "difference", "fraction-product", "times-ten", "plus-one",
+            "literal", "denominator", "power-of-sum"])
+    def test_coefficient_past_the_digit_bound_refused(self, cli_digit_limit, text, pos):
+        # refused where the parser forms it, before it is printed
+        with pytest.raises(ExprSyntaxError, match=f"{MAX_DIGITS}-digit bound") as exc:
+            parse_expr(text, ring())
+        assert exc.value.pos == pos
 
 
 class TestRoundTrip:

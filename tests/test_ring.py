@@ -84,6 +84,10 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             r.tau(2, 2)
 
+    def test_unknown_generator_kind(self):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            raw_nf(ring(), ("x", 1))
+
     def test_paper_signs_mode(self):
         r = TautRing(PaperSigns(2, 10, 2))
         got = raw_nf(r, ("tau", 1, 2), ("tau", 1, 2))
