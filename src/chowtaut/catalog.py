@@ -10,7 +10,7 @@ of the engine).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .linalg import require_ints
 
@@ -60,17 +60,6 @@ class FanoRecord:
         if (self.mck_status == "proven") != bool(self.citations):
             raise ValueError("citations are carried exactly by 'proven' records")
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "index": self.index,
-            "degree": self.degree,
-            "h12": self.h12,
-            "description": self.description,
-            "mck_status": self.mck_status,
-            "citations": list(self.citations),
-        }
-
 
 _FIELDS = ("label", "index", "degree", "h12", "description", "mck_status")
 
@@ -110,7 +99,7 @@ def parse_catalog(text: str) -> list[FanoRecord]:
 
 
 def serialize_catalog(records: list[FanoRecord]) -> str:
-    return "".join(json.dumps(r.to_dict(), sort_keys=False) + "\n" for r in records)
+    return "".join(json.dumps(asdict(r)) + "\n" for r in records)
 
 
 def load_catalog(path: str | None = None) -> list[FanoRecord]:

@@ -12,11 +12,12 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .catalog import FanoRecord, catalog_get, load_catalog, serialize_catalog
 from .correspond import ProjectorSet, ck_projectors, involution_check, verify_ck, verify_mck
-from .exprparse import MAX_DIGITS, parse_expr
+from .exprparse import int_str_limit, parse_expr
 from .oracle import CohomologyModel, SubalgebraSpan, adjudicate_signs
 from .ring import RingParams, TautRing
 
@@ -69,7 +70,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_get(args) -> int:
-    print(json.dumps(_record(args.label, args.catalog).to_dict()))
+    print(json.dumps(asdict(_record(args.label, args.catalog))))
     return 0
 
 
@@ -213,19 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Exact integers print in full up to MAX_DIGITS digits: set Python's
-    # int-to-str digit limit to it for this run, and restore it for in-process callers.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        return args.func(args)
+        with int_str_limit():  # exact integers print in full up to MAX_DIGITS digits
+            return args.func(args)
     except (CliError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -121,13 +121,10 @@ class Correspondence:
                 and self.s == other.s and self.cls == other.cls)
 
 
-def identity_correspondence(p: RingParams, r: int = 1) -> Correspondence:
-    """The diagonal of Y^r as a correspondence Y^r -> Y^r."""
-    ring = TautRing(p).with_m(2 * r)
-    cls = ring.one()
-    for i in range(1, r + 1):
-        cls = ring.multiply(cls, big_diagonal(ring, i, r + i))
-    return Correspondence(ring.p, r, r, cls)
+def identity_correspondence(p: RingParams) -> Correspondence:
+    """The diagonal of Y as a correspondence Y -> Y."""
+    ring = TautRing(p).with_m(2)
+    return Correspondence(ring.p, 1, 1, big_diagonal(ring, 1, 2))
 
 
 def big_diagonal(ring: TautRing, i: int, j: int) -> CycleClass:

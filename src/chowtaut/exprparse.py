@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .ring import ONE, CycleClass, TautRing
@@ -31,6 +33,20 @@ _PAST_BOUND = f"passes the {MAX_DIGITS}-digit bound on coefficients"
 @functools.cache
 def _digit_limit() -> int:
     return 10 ** MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
+
+
+@contextmanager
+def int_str_limit():
+    """Python's int/str conversion limit set to MAX_DIGITS inside the block, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons before 3.10.7 have no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class ExprSyntaxError(ValueError):
@@ -189,4 +205,5 @@ class _Parser:
 
 def parse_expr(text: str, ring: TautRing) -> CycleClass:
     """Parse and normalize a cycle expression in the given ring."""
-    return _Parser(text, ring).parse()
+    with int_str_limit():
+        return _Parser(text, ring).parse()

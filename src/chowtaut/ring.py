@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import Rational, exact, require_ints
 
@@ -56,19 +56,19 @@ class RingParams:
             raise ValueError("m must be a positive integer")
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A normal-form monomial.
+class Monomial(NamedTuple):
+    """A normal-form monomial; its tuple order is the canonical order of monomials.
 
-    h: sorted tuple of (index, exponent) with exponent in {1, 2};
+    tau: sorted tuple of (i, j) pairs with i < j, forming a partial matching;
     o: sorted tuple of indices carrying the point class;
-    tau: sorted tuple of (i, j) pairs with i < j, forming a partial matching.
+    h: sorted tuple of (index, exponent) with exponent in {1, 2}.
     An index appearing in tau carries no h power and no o flag.
+    A Monomial compares equal to the plain tuple of its fields.
     """
 
-    h: tuple[tuple[int, int], ...] = ()
-    o: tuple[int, ...] = ()
     tau: tuple[tuple[int, int], ...] = ()
+    o: tuple[int, ...] = ()
+    h: tuple[tuple[int, int], ...] = ()
 
     @property
     def codim(self) -> int:
@@ -77,10 +77,6 @@ class Monomial:
     def indices(self) -> list[int]:
         """Every factor index used, once per occurrence (h, then o, then tau)."""
         return [i for i, _ in self.h] + list(self.o) + [x for pr in self.tau for x in pr]
-
-    def key(self):
-        """Canonical sort key: tau pairs, then o indices, then h exponents."""
-        return (self.tau, self.o, self.h)
 
     def generators(self) -> list[Gen]:
         """Expand back into a raw generator list (h repeated per exponent)."""
@@ -161,17 +157,14 @@ class CycleClass:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].key())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for n, (mon, c) in enumerate(self.sorted_terms()):
+        for n, (mon, c) in enumerate(sorted(self.terms.items())):
             neg = c < 0
             a = -c if neg else c
-            if mon is ONE or mon == ONE:
+            if mon == ONE:
                 body = str(a)
             elif a == 1:
                 body = str(mon)
@@ -388,7 +381,7 @@ class TautRing:
     # -- graded pieces ---------------------------------------------------
 
     def graded_basis(self, c: int) -> list[Monomial]:
-        """All normal-form monomials of codimension c, in canonical key order.
+        """All normal-form monomials of codimension c, in canonical order.
 
         A monomial is a perfect matching of its even-size tau support times a
         weight in {0,1,2,3} on each other factor (3 encodes the o flag).
@@ -406,7 +399,7 @@ class TautRing:
                           tuple(i for i, w in zip(rest, ws) if w == 3)) for ws in weights]
                 for matching in perfect_matchings(support):
                     out.extend(Monomial(h=h, o=o, tau=tuple(matching)) for h, o in parts)
-        out.sort(key=Monomial.key)
+        out.sort()
         return out
 
     def relator_vectors(self, c: int) -> list[dict[Monomial, Rational]]:

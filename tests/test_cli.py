@@ -32,13 +32,19 @@ def test_list_json_round_trip(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 19
+    # keys in FanoRecord field order, citations as a list
+    assert out.splitlines(keepends=True)[0] == (
+        '{"label": "4", "index": 4, "degree": 1, "h12": 0, "description": "P^3", '
+        '"mck_status": "trivial", "citations": []}\n')
 
 
 def test_get(capsys):
     code, out, _ = run(capsys, "get", "2.2")
     assert code == 0
-    rec = json.loads(out)
-    assert rec["degree"] == 2 and rec["h12"] == 10
+    assert out == ('{"label": "2.2", "index": 2, "degree": 2, "h12": 10, '
+                   '"description": "X_4 in P(1^4,2)", "mck_status": "new_in_paper", '
+                   '"citations": []}\n')
+
 
 def test_get_unknown_label(capsys):
     code, out, err = run(capsys, "get", "nope")

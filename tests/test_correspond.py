@@ -310,8 +310,8 @@ class TestSmallDiagonal:
         dsm = small_diagonal(r3)
         ideal = SparseRowBasis()
         for v in r3.relator_vectors(6):
-            ideal.add({mon.key(): c for mon, c in v.items()})
-        tau_part = {mon.key(): c for mon, c in dsm.terms.items() if mon.tau}
+            ideal.add(v)
+        tau_part = {mon: c for mon, c in dsm.terms.items() if mon.tau}
         assert tau_part and ideal.contains(tau_part)
 
     def test_degree_probes_match_model(self):

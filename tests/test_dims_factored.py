@@ -24,7 +24,7 @@ def brute_dimension(r, c):
     """Reference: all monomials of codim c minus the rank of all relator vectors."""
     rows = SparseRowBasis()
     for v in r.relator_vectors(c):
-        rows.add({mon.key(): q for mon, q in v.items()})
+        rows.add(v)
     return len(r.graded_basis(c)) - rows.rank
 
 

@@ -13,16 +13,9 @@ def ring(d=2, b=1, m=2):
     return TautRing(RingParams(d, b, m))
 
 
-@pytest.fixture
-def cli_digit_limit():
-    """Python's int/str conversion limit set to MAX_DIGITS, as the CLI sets it."""
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(MAX_DIGITS)
-    yield
-    sys.set_int_max_str_digits(limit)
+def python_digit_limit():
+    """Python's int/str conversion digit limit, None on a Python that has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 class TestExamples:
@@ -60,6 +53,14 @@ class TestExamples:
         r = ring()
         assert parse_expr("h_1 + h_2 \t ", r) == r.h(1) + r.h(2)
 
+    def test_terms_print_in_canonical_order(self):
+        # the Monomial tuple order (tau, o, h): 1, h-only, o, then tau monomials
+        cls = parse_expr("h_1 + o_2 + t_{1,2} + h_1^2*h_2 + 2*o_1*o_3 + t_{2,3}*h_1 + 1",
+                         ring(d=2, b=1, m=3))
+        printed = ["1", "h_1", "h_1^2*h_2", "2*o_1*o_3", "o_2", "t_{1,2}", "h_1*t_{2,3}"]
+        assert str(cls) == " + ".join(printed)
+        assert [str(CycleClass({mon: cls.terms[mon]})) for mon in sorted(cls.terms)] == printed
+
     def test_power_up_to_the_digit_bound(self):
         top = parse_expr("2^332192", ring()).coefficient(ONE)
         assert 10 ** (MAX_DIGITS - 1) <= top < 10 ** MAX_DIGITS
@@ -67,9 +68,16 @@ class TestExamples:
     @pytest.mark.parametrize("text", ["9" * MAX_DIGITS, "0" + "9" * MAX_DIGITS,
                                       "1/" + "9" * MAX_DIGITS, "10^99999"],
                              ids=["literal", "leading-zero", "denominator", "power"])
-    def test_coefficient_of_max_digits_accepted(self, cli_digit_limit, text):
+    def test_coefficient_of_max_digits_accepted(self, text):
         c = parse_expr(text, ring()).coefficient(ONE)
-        assert len(str(max(c.numerator, c.denominator))) == MAX_DIGITS
+        assert 10 ** (MAX_DIGITS - 1) <= max(c.numerator, c.denominator) < 10 ** MAX_DIGITS
+
+    @pytest.mark.parametrize("digits", [5000, MAX_DIGITS])
+    def test_long_literal_parses_as_a_library_call(self, digits):
+        # parse_expr lifts Python's int/str digit limit itself and puts it back
+        limit = python_digit_limit()
+        assert parse_expr("9" * digits, ring()).coefficient(ONE) == 10 ** digits - 1
+        assert python_digit_limit() == limit
 
 
 class TestErrors:
@@ -127,11 +135,17 @@ class TestErrors:
         ("(1 + 3^150000*h_1)^2", 19),
     ], ids=["product", "sum", "difference", "fraction-product", "times-ten", "plus-one",
             "literal", "denominator", "power-of-sum"])
-    def test_coefficient_past_the_digit_bound_refused(self, cli_digit_limit, text, pos):
+    def test_coefficient_past_the_digit_bound_refused(self, text, pos):
         # refused where the parser forms it, before it is printed
         with pytest.raises(ExprSyntaxError, match=f"{MAX_DIGITS}-digit bound") as exc:
             parse_expr(text, ring())
         assert exc.value.pos == pos
+
+    def test_refused_parse_restores_the_digit_limit(self):
+        limit = python_digit_limit()
+        with pytest.raises(ExprSyntaxError):
+            parse_expr("9" * MAX_DIGITS + "+1", ring())
+        assert python_digit_limit() == limit
 
 
 class TestRoundTrip:
