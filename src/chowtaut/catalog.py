@@ -10,6 +10,7 @@ of the engine).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 
 from .linalg import require_ints
@@ -75,6 +76,9 @@ def parse_catalog(text: str) -> list[FanoRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"catalog line {number}: {exc.msg} at column {exc.colno}") from None
+        except ValueError:  # an integer past Python's int/str conversion limit
+            raise ValueError(f"catalog line {number}: integer with more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         if not isinstance(obj, dict):
             raise ValueError(f"catalog line {number}: record is not an object")
         missing = [f for f in _FIELDS if f not in obj]
@@ -108,8 +112,9 @@ def load_catalog(path: str | None = None) -> list[FanoRecord]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a decoding error has no strerror
+        raise ValueError(f"cannot read catalog {path!r}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
     return parse_catalog(text)
 
 

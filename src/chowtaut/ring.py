@@ -246,7 +246,8 @@ class TautRing:
         mate[j] == i).  If i and j are matched to each other, the pair squares
         away to eps2*2b*o_i*o_j.  Otherwise each end already matched, say i to
         a, takes one shared-index rewrite tau_{a,i}*tau_{i,j} -> eps3*tau_{a,j}*o_i:
-        i gets o and the new pair moves to a.
+        i gets o and the new pair moves to a.  No check below tests a count in
+        oc for n > 0: :meth:`multiply` seeds each with 1 and this only increments.
         """
         p = self.p
         coeff = 1
@@ -275,18 +276,16 @@ class TautRing:
                 hc[i] -= 3
                 oc[i] = oc.get(i, 0) + 1
                 coeff *= p.d
+            if hc[i] and i in mate:
+                return 0, None
         for i, n in oc.items():
-            if n >= 2 or (n and hc.get(i, 0)) or (n and i in mate):
+            if n >= 2 or hc.get(i, 0) or i in mate:
                 return 0, None
-        for i, n in hc.items():
-            if n and i in mate:
-                return 0, None
-        mon = Monomial(
+        return coeff, Monomial(
             h=tuple(sorted((i, e) for i, e in hc.items() if e)),
-            o=tuple(sorted(i for i, n in oc.items() if n)),
+            o=tuple(sorted(oc)),
             tau=tuple(sorted((i, j) for i, j in mate.items() if i < j)),
         )
-        return coeff, mon
 
     def normal_form(self, raw: Iterable[Gen], coeff: Rational = 1) -> CycleClass:
         """Normal form of a single product of generators times a coefficient."""
@@ -456,24 +455,19 @@ class TautRing:
         (1, 7), (1, 8), (2, 7), (2, 8), (3, 8).  Beyond these ranges the
         result rests on the cited theorem.
 
-        The whole vector is expanded from a table of the powers of
-        1+x+x^2+x^3, built once; :meth:`graded_dimension` reads a single
-        coefficient in closed form instead.  Each form is the faster one for
-        its job: for all 3m+1 codims the table beats 3m+1 closed-form sums.
+        The whole vector is expanded by Horner's rule in F = 1+x+x^2+x^3: one running
+        polynomial is multiplied by F m times, and C(m,n) I_b(n/2) x^(3n/2) joins it
+        after the n-th product, n even, to take the remaining F^(m-n).  No power of F
+        is kept; :meth:`graded_dimension` reads one coefficient in closed form instead.
         """
-        p = self.p
-        m = p.m
-        invariants = symplectic_invariant_counts(p.b, m // 2)
-        # free[n] holds the coefficients of (1+x+x^2+x^3)^n.
-        free = [[1]]
-        for _ in range(m):
-            prev = free[-1]
-            free.append([sum(prev[max(0, c - 3):c + 1]) for c in range(len(prev) + 3)])
-        dims = [0] * (3 * m + 1)
-        for q, count in enumerate(invariants):
-            weight = math.comb(m, 2 * q) * count
-            for c, n in enumerate(free[m - 2 * q]):
-                dims[3 * q + c] += weight * n
+        m = self.p.m
+        invariants = symplectic_invariant_counts(self.p.b, m // 2)
+        dims = [1]  # C(m,0) * I_b(0)
+        for n in range(1, m + 1):
+            dims = [a + b for a, b in zip(dims + [0], [0] + dims)]  # times 1+x
+            dims = [a + b for a, b in zip(dims + [0, 0], [0, 0] + dims)]  # times 1+x^2
+            if n % 2 == 0:
+                dims[3 * n // 2] += math.comb(m, n) * invariants[n // 2]
         return dims
 
 

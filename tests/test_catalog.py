@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -71,3 +72,16 @@ def test_non_integer_columns_rejected(field):
     for bad in (1.5, 2.0, True):
         with pytest.raises(ValueError, match="must be an integer"):
             parse_catalog(json.dumps({**row, field: bad}) + "\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no int/str conversion limit")
+def test_integer_past_the_int_str_limit_names_its_line():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    limit = sys.get_int_max_str_digits()
+    row = json.dumps({"label": "x", "index": 2, "degree": 2, "h12": 1,
+                      "description": "d", "mck_status": "new_in_paper"})
+    text = "\n" + row.replace('"degree": 2', '"degree": ' + "9" * (limit + 1)) + "\n"
+    with pytest.raises(ValueError) as exc:
+        parse_catalog(text)
+    assert str(exc.value) == f"catalog line 2: integer with more than {limit} digits"

@@ -11,6 +11,7 @@ import pytest
 from chowtaut import cli
 from chowtaut.cli import main
 from chowtaut.correspond import CheckResult, CKReport, MCKReport
+from chowtaut.exprparse import MAX_DIGITS
 from chowtaut.ring import RingParams, TautRing
 
 
@@ -63,6 +64,27 @@ def test_list_unreadable_catalog(capsys, tmp_path):
     code, out, err = run(capsys, "list", "--catalog", missing)
     assert code == 2 and out == ""
     assert missing in json.loads(err)["error"]
+
+
+def test_list_non_utf8_catalog_names_the_file(capsys, tmp_path):
+    path = tmp_path / "cat.jsonl"
+    path.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, "list", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        f"cannot read catalog {str(path)!r}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte")
+
+
+def test_list_catalog_integer_past_the_digit_bound(capsys, tmp_path):
+    # the CLI raises Python's int/str limit to MAX_DIGITS; one digit more names the line
+    path = tmp_path / "cat.jsonl"
+    path.write_text('{"label": "x", "index": 2, "degree": ' + "9" * (MAX_DIGITS + 1)
+                    + ', "h12": 1, "description": "d", "mck_status": "new_in_paper"}\n',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "list", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"catalog line 1: integer with more than {MAX_DIGITS} digits"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -277,6 +299,18 @@ def test_signs_option_rejected(capsys, argv):
         main(argv + ["--signs", "paper"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --signs paper" in capsys.readouterr().err
+
+
+def test_reduce_expression_starting_with_minus_after_double_dash(capsys):
+    # without "--", argparse reads "-h_1" as the option -h
+    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", "--", "-(-1)")
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, _ = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", "--", "-h_1")
+    assert (code, out) == (0, "-h_1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--d", "2", "--b", "1", "--m", "2", "-h_1"])
+    assert exc.value.code == 2
+    assert "argument -h/--help" in capsys.readouterr().err
 
 
 def test_reduce_syntax_error(capsys):

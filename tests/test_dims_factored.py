@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -132,6 +133,27 @@ def test_single_codim_matches_full_vector(b, m):
     dims = r.graded_dimensions()
     assert [r.graded_dimension(c) for c in range(3 * m + 1)] == dims
     assert vars(r) == {"p": r.p}  # no memo outlives the call
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 41])
+@pytest.mark.parametrize("b", [1, 3])
+def test_whole_vector_matches_single_codims(b, m):
+    # odd m ends the Horner expansion with one more factor 1+x+x^2+x^3
+    r = TautRing(RingParams(2, b, m))
+    assert r.graded_dimensions() == [r.graded_dimension(c) for c in range(3 * m + 1)]
+
+
+def test_whole_vector_keeps_no_table_of_powers():
+    # a table of (1+x+x^2+x^3)^n for n = 0..400 peaks near 21 MiB
+    r = TautRing(RingParams(2, 1, 400))
+    tracemalloc.start()
+    try:
+        dims = r.graded_dimensions()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert dims == dims[::-1] and dims[0] == dims[-1] == 1
 
 
 @pytest.mark.parametrize("b,m", [(52, 60), (1, 40)])
