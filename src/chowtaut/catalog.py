@@ -51,6 +51,13 @@ class FanoRecord:
     citations: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for f in ("label", "description"):
+            if not isinstance(getattr(self, f), str):
+                raise ValueError(f"field {f!r} must be a string")
+        if not (isinstance(self.citations, (list, tuple))
+                and all(isinstance(c, str) for c in self.citations)):
+            raise ValueError("field 'citations' must be a list of strings")
+        object.__setattr__(self, "citations", tuple(self.citations))  # hashable when frozen
         if self.mck_status not in MCK_STATUSES:
             raise ValueError(f"unknown mck_status {self.mck_status!r}")
         require_ints(index=self.index, degree=self.degree, h12=self.h12)
@@ -84,14 +91,8 @@ def parse_catalog(text: str) -> list[FanoRecord]:
         missing = [f for f in _FIELDS if f not in obj]
         if missing:
             raise ValueError(f"catalog line {number}: missing field {missing[0]!r}")
-        for f in ("label", "description"):
-            if not isinstance(obj[f], str):
-                raise ValueError(f"catalog line {number}: field {f!r} must be a string")
-        citations = obj.get("citations", [])
-        if not (isinstance(citations, list) and all(isinstance(c, str) for c in citations)):
-            raise ValueError(f"catalog line {number}: field 'citations' must be a list of strings")
         try:
-            rec = FanoRecord(**{f: obj[f] for f in _FIELDS}, citations=tuple(citations))
+            rec = FanoRecord(**{f: obj[f] for f in _FIELDS}, citations=obj.get("citations", []))
         except ValueError as exc:
             raise ValueError(f"catalog line {number}: {exc}") from None
         if rec.label in first_line:

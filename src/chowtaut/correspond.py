@@ -65,6 +65,8 @@ class Correspondence:
     cls: CycleClass
 
     def __post_init__(self):
+        if self.r < 1 or self.s < 1:
+            raise ValueError(f"correspondence arities must be at least 1: {self.r} -> {self.s}")
         if self.params.m != self.r + self.s:
             raise ValueError("correspondence class must live on Y^(r+s)")
         _check_lives_on(self.cls, self.params.m, "correspondence class")
@@ -93,7 +95,7 @@ class Correspondence:
         g_cls = relabel(g.cls, {i: a + i for i in range(1, b + c + 1)}, big)
         prod = big.multiply(self.cls, g_cls)
         pushed = pushforward_forget(big, prod, set(range(a + 1, a + b + 1)))
-        ring_ac = big.with_m(max(a + c, 1))
+        ring_ac = big.with_m(a + c)
         return Correspondence(ring_ac.p, a, c, pushed)
 
     def tensor(self, g: "Correspondence") -> "Correspondence":

@@ -200,7 +200,8 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+        raise ExprSyntaxError("unexpected end of expression" if kind == "end"
+                              else f"unexpected token {val!r}", pos)
 
 
 def parse_expr(text: str, ring: TautRing) -> CycleClass:

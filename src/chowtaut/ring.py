@@ -322,26 +322,22 @@ class TautRing:
         return acc
 
     def power(self, a: CycleClass, n: int) -> CycleClass:
-        """a^n by repeated squaring, zero as soon as the result must vanish."""
+        """a^n = sum over k of C(n,k) * c^(n-k) * x^k, where c is a's constant term, x = a - c.
+
+        The ring is commutative and x has no constant term, so x^k vanishes past
+        codim 3m: at most min(n, 3m) products, whatever the length of n.
+        """
         if n < 0:
             raise ValueError("negative powers are not defined")
-        if n == 0:
-            return self.one()
-        # Every term of a^n has codim at least n times the lowest codim in a,
-        # and nothing survives above codim 3m.
-        low = min((mon.codim for mon in a.terms), default=None)
-        if low is None or low * n > 3 * self.p.m:
-            return self.zero()
-        acc = self.one()
-        while True:
-            if n & 1:
-                acc = self.multiply(acc, a)
-            n >>= 1
-            if not n or acc.is_zero():
-                return acc
-            a = self.multiply(a, a)
-            if a.is_zero():
-                return a
+        c = a.coefficient(ONE)
+        x = a - self.scalar(c) if c else a
+        acc, xk = self.zero(), self.one()
+        for k in range(min(n, 3 * self.p.m) + 1):
+            if k:
+                xk = self.multiply(xk, x)
+            if (c or k == n) and not xk.is_zero():  # spares C(n,k) where x^k = 0
+                acc = acc + xk.scale(math.comb(n, k) * c ** (n - k))
+        return acc
 
     def integrate(self, a: CycleClass) -> Rational:
         """Degree map: coefficient of o_1*...*o_m in top codimension, else 0."""

@@ -65,6 +65,26 @@ def test_invariant_violations_rejected():
                       '"description": "d", "mck_status": "open"}\n' * 2)
 
 
+@pytest.mark.parametrize("field,bad,message", [
+    ("label", 5, "field 'label' must be a string"),
+    ("description", None, "field 'description' must be a string"),
+    ("citations", "Diaz", "field 'citations' must be a list of strings"),
+    ("citations", [1], "field 'citations' must be a list of strings"),
+])
+def test_record_checks_its_own_field_types(field, bad, message):
+    row = dict(label="x", index=2, degree=3, h12=1, description="d", mck_status="proven",
+               citations=["Diaz"])
+    with pytest.raises(ValueError, match=message):
+        FanoRecord(**{**row, field: bad})
+
+
+def test_record_citations_stored_as_tuple_and_hashable():
+    rec = FanoRecord("x", 2, 3, 1, "d", "proven", citations=["Diaz", "FLV2"])
+    same = FanoRecord("x", 2, 3, 1, "d", "proven", citations=("Diaz", "FLV2"))
+    assert rec.citations == ("Diaz", "FLV2")
+    assert rec == same and hash(rec) == hash(same)
+
+
 @pytest.mark.parametrize("field", ["index", "degree", "h12"])
 def test_non_integer_columns_rejected(field):
     row = {"label": "x", "index": 2, "degree": 3, "h12": 1,

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 from chowtaut import cli
 from chowtaut.cli import main
 from chowtaut.correspond import CheckResult, CKReport, MCKReport
-from chowtaut.exprparse import MAX_DIGITS
+from chowtaut.exprparse import MAX_DIGITS, int_str_limit
 from chowtaut.ring import RingParams, TautRing
 
 
@@ -333,7 +334,9 @@ def test_reduce_huge_power_is_fast(capsys):
     pytest.param(expr, id=name) for name, expr in [
         ("product", "2^300000*2^300000"), ("sum", "2^332192+2^332192"),
         ("fraction-product", "(1/2)^300000*(1/2)^300000"), ("times-ten", "10^99999*10"),
-        ("literal", "1" + "0" * 100000), ("chain-of-100", "*".join(["3^200000"] * 100))]])
+        ("literal", "1" + "0" * 100000), ("chain-of-100", "*".join(["3^200000"] * 100)),
+        # a unit constant term passes the pre-check; 2*C(N, 3) is what passes the bound
+        ("unit-power-10^40000", "(1+h_1)^1" + "0" * 40000)]])
 def test_reduce_refuses_power_past_digit_bound_quickly(capsys, expr):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2", expr)
@@ -348,13 +351,18 @@ def test_reduce_prints_coefficient_of_max_digits(capsys):
     assert out == "1" + "0" * 99999 + "\n"
 
 
-def test_reduce_power_with_unit_constant_term(capsys):
+@pytest.mark.parametrize("n, m", [(10**8, 2), (10**10000, 2), (10**10000, 100)],
+                         ids=["10^8", "10^10000", "10^10000-m100"])
+def test_reduce_power_with_unit_constant_term(capsys, n, m):
+    with int_str_limit():
+        exponent = str(n)
+        want = f"1 + {n}*h_1 + {math.comb(n, 2)}*h_1^2 + {2 * math.comb(n, 3)}*o_1\n"
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", "2",
-                         "(1+h_1)^100000000")
+    code, out, err = run(capsys, "reduce", "--d", "2", "--b", "1", "--m", str(m),
+                         f"(1+h_1)^{exponent}")
     assert time.perf_counter() - t0 < 2.0
     assert code == 0 and err == ""
-    assert out == "1 + 100000000*h_1 + 4999999950000000*h_1^2 + 333333323333333400000000*o_1\n"
+    assert out == want
 
 
 def test_reduce_prints_exact_integers_in_full(capsys):

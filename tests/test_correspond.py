@@ -140,6 +140,12 @@ class TestCompose:
         with pytest.raises(ValueError, match="must live on Y\\^\\(r\\+s\\)"):
             Correspondence(params(m=3), 1, 1, TautRing(params(m=3)).o(1))
 
+    @pytest.mark.parametrize("r,s", [(0, 1), (1, 0)])
+    def test_arity_zero_rejected(self, r, s):
+        # there is no ring on Y^0, so no correspondence starts or ends there
+        with pytest.raises(ValueError, match="arities must be at least 1: "):
+            Correspondence(params(m=1), r, s, TautRing(params(m=1)).o(1))
+
     def test_inhomogeneous_class_rejected(self):
         r = TautRing(params())
         with pytest.raises(ValueError, match="must be homogeneous"):

@@ -109,6 +109,9 @@ class TestErrors:
         ("t_1", "pair of indices"),
         ("h_{1,2}", "single index"),
         ("o_{1,2}", "single index"),
+        ("", "unexpected end of expression"),
+        ("   ", "unexpected end of expression"),
+        ("h_1 +", "unexpected end of expression"),
     ])
     def test_error_messages(self, text, match):
         with pytest.raises(ExprSyntaxError, match=match):
