@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
 
-from .linalg import require_ints
+from .linalg import Frozen, require_ints
 
 MCK_STATUSES = ("trivial", "proven", "new_in_paper", "open")
 
@@ -40,36 +39,40 @@ _CATALOG_JSONL = """\
 """
 
 
-@dataclass(frozen=True)
-class FanoRecord:
+_FIELDS = ("label", "index", "degree", "h12", "description", "mck_status")
+
+
+class FanoRecord(Frozen):
+    """One catalog row; its fields, in order, are the keys of a catalog line."""
+
+    __slots__ = _compared = _FIELDS + ("citations",)
     label: str
     index: int
     degree: int
     h12: int
     description: str
     mck_status: str
-    citations: tuple[str, ...] = ()
+    citations: tuple[str, ...]
 
-    def __post_init__(self):
-        for f in ("label", "description"):
-            if not isinstance(getattr(self, f), str):
+    def __init__(self, label: str, index: int, degree: int, h12: int, description: str,
+                 mck_status: str, citations: tuple[str, ...] = ()):
+        for f, v in (("label", label), ("description", description)):
+            if not isinstance(v, str):
                 raise ValueError(f"field {f!r} must be a string")
-        if not (isinstance(self.citations, (list, tuple))
-                and all(isinstance(c, str) for c in self.citations)):
+        if not (isinstance(citations, (list, tuple))
+                and all(isinstance(c, str) for c in citations)):
             raise ValueError("field 'citations' must be a list of strings")
-        object.__setattr__(self, "citations", tuple(self.citations))  # hashable when frozen
-        if self.mck_status not in MCK_STATUSES:
-            raise ValueError(f"unknown mck_status {self.mck_status!r}")
-        require_ints(index=self.index, degree=self.degree, h12=self.h12)
-        if self.degree < 1 or self.h12 < 0:
+        citations = tuple(citations)  # hashable
+        if mck_status not in MCK_STATUSES:
+            raise ValueError(f"unknown mck_status {mck_status!r}")
+        require_ints(index=index, degree=degree, h12=h12)
+        if degree < 1 or h12 < 0:
             raise ValueError("degree must be >= 1 and h12 >= 0")
-        if (self.mck_status == "trivial") != (self.h12 == 0):
+        if (mck_status == "trivial") != (h12 == 0):
             raise ValueError("mck_status is 'trivial' exactly when h12 = 0")
-        if (self.mck_status == "proven") != bool(self.citations):
+        if (mck_status == "proven") != bool(citations):
             raise ValueError("citations are carried exactly by 'proven' records")
-
-
-_FIELDS = ("label", "index", "degree", "h12", "description", "mck_status")
+        self._set(label, index, degree, h12, description, mck_status, citations)
 
 
 def parse_catalog(text: str) -> list[FanoRecord]:
@@ -104,7 +107,8 @@ def parse_catalog(text: str) -> list[FanoRecord]:
 
 
 def serialize_catalog(records: list[FanoRecord]) -> str:
-    return "".join(json.dumps(asdict(r)) + "\n" for r in records)
+    return "".join(json.dumps({f: getattr(r, f) for f in r.__slots__}) + "\n"
+                   for r in records)
 
 
 def load_catalog(path: str | None = None) -> list[FanoRecord]:

@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .catalog import FanoRecord, catalog_get, load_catalog, serialize_catalog
@@ -70,7 +69,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_get(args) -> int:
-    print(json.dumps(asdict(_record(args.label, args.catalog))))
+    print(serialize_catalog([_record(args.label, args.catalog)]), end="")
     return 0
 
 

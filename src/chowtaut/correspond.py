@@ -12,10 +12,10 @@ cancellation argument.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .linalg import Rational
+from .linalg import Frozen, Rational
 from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, relabel
 
 
@@ -55,23 +55,27 @@ def _check_lives_on(a: CycleClass, m: int, what: str) -> None:
             raise ValueError(f"{what} must live on Y^{m}, but has the term {mon}")
 
 
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """A cycle class on Y^(r+s) acting as a correspondence Y^r -> Y^s."""
+class Correspondence(Frozen):
+    """A cycle class on Y^(r+s) acting as a correspondence Y^r -> Y^s.
 
+    Equal when the arities and the classes are; not hashable.
+    """
+
+    __slots__ = _compared = ("params", "r", "s", "cls")
     params: RingParams  # with m = r + s
     r: int
     s: int
     cls: CycleClass
 
-    def __post_init__(self):
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"correspondence arities must be at least 1: {self.r} -> {self.s}")
-        if self.params.m != self.r + self.s:
+    def __init__(self, params: RingParams, r: int, s: int, cls: CycleClass):
+        if r < 1 or s < 1:
+            raise ValueError(f"correspondence arities must be at least 1: {r} -> {s}")
+        if params.m != r + s:
             raise ValueError("correspondence class must live on Y^(r+s)")
-        _check_lives_on(self.cls, self.params.m, "correspondence class")
-        if not self.cls.is_homogeneous():
+        _check_lives_on(cls, params.m, "correspondence class")
+        if not cls.is_homogeneous():
             raise ValueError("correspondence class must be homogeneous")
+        self._set(params, r, s, cls)
 
     @property
     def ring(self) -> TautRing:
@@ -142,20 +146,21 @@ def big_diagonal(ring: TautRing, i: int, j: int) -> CycleClass:
 # -- Chow-Kuenneth projectors ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectorSet:
+class ProjectorSet(Frozen):
     """Candidate projectors pi^0..pi^6 on Y x Y (pi^1 = pi^5 = 0)."""
 
+    __slots__ = _compared = ("pi",)
     pi: tuple[Correspondence, ...]
 
-    def __post_init__(self):
-        if len(self.pi) != 7:
+    def __init__(self, pi: tuple[Correspondence, ...]):
+        if len(pi) != 7:
             raise ValueError("expected seven projectors pi^0..pi^6")
-        for f in self.pi:
+        for f in pi:
             if not isinstance(f, Correspondence) or (f.r, f.s) != (1, 1):
                 raise ValueError("each projector must be a correspondence Y -> Y")
-            if f.params != self.pi[0].params:
+            if f.params != pi[0].params:
                 raise ValueError("all projectors must share one RingParams")
+        self._set(pi)
 
     @property
     def params(self) -> RingParams:
@@ -187,15 +192,17 @@ def ck_projectors(p: RingParams) -> ProjectorSet:
     return ProjectorSet(tuple(pi))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One identity of the CK check; compares equal to the plain tuple of its fields."""
+
     name: str
     ok: bool
     residual: str
 
 
-@dataclass(frozen=True)
-class CKReport:
+class CKReport(NamedTuple):
+    """The checks of :func:`verify_ck`; compares equal to the plain tuple ``(checks,)``."""
+
     checks: tuple[CheckResult, ...]
 
     @property
@@ -239,8 +246,9 @@ def small_diagonal(ring: TautRing) -> CycleClass:
     return ring.multiply(big_diagonal(ring, 1, 3), big_diagonal(ring, 2, 3))
 
 
-@dataclass(frozen=True)
-class MCKEntry:
+class MCKEntry(NamedTuple):
+    """pi^k o Delta^sm o (pi^i x pi^j); compares equal to the plain tuple of its fields."""
+
     i: int
     j: int
     k: int
@@ -255,8 +263,9 @@ class MCKEntry:
         return self.exempt or self.value.is_zero()
 
 
-@dataclass(frozen=True)
-class MCKReport:
+class MCKReport(NamedTuple):
+    """The 343 entries of :func:`verify_mck`; compares equal to the plain tuple ``(entries,)``."""
+
     entries: tuple[MCKEntry, ...]
 
     @property

@@ -1,4 +1,5 @@
-"""Exact sparse linear algebra over the rationals, and the coefficient rule.
+"""Exact sparse linear algebra over the rationals, the coefficient rule,
+and the base of the immutable records whose constructor checks its input.
 
 Every coefficient in the engine is an ``int``, or a ``Fraction`` where a
 denominator remains, and never a float; :func:`exact` is the one place
@@ -32,6 +33,45 @@ def require_ints(**values) -> None:
     for name, v in values.items():
         if type(v) is not int:
             raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+class Frozen:
+    """Base of the immutable values whose constructor validates or derives fields.
+
+    A subclass names every field in ``__slots__`` and sets them once, in slot
+    order, through :meth:`_set`.  The fields in ``_compared`` decide equality,
+    the hash and the repr, as in a frozen dataclass: only values of the same
+    class compare equal, and assigning or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _to_int_row(vec: dict) -> dict:

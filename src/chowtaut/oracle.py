@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .linalg import Rational, SparseRowBasis, exact, require_ints
+from .linalg import Frozen, Rational, SparseRowBasis, exact, require_ints
 from .ring import Monomial, accumulate, perfect_matchings, slot_weight_count
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
@@ -61,22 +60,27 @@ def _invert(mat: Sequence[Sequence[Rational]]) -> Matrix:
     return tuple(tuple(exact(x) for x in row[n:]) for row in a)
 
 
-@dataclass(frozen=True)
-class CohomologyModel:
-    """Explicit graded model of H*(Y) for a degree-d threefold with dim H^3 = 2b."""
+class CohomologyModel(Frozen):
+    """Explicit graded model of H*(Y) for a degree-d threefold with dim H^3 = 2b.
 
+    omega defaults to the standard symplectic Gram matrix; the product table
+    derived from it is neither compared nor shown in the repr.
+    """
+
+    __slots__ = ("d", "b", "omega", "omega_inv", "table")
+    _compared = __slots__[:4]
     d: int
     b: int
-    omega: Matrix = None  # type: ignore[assignment]
-    omega_inv: Matrix = field(init=False)
-    table: tuple = field(init=False, compare=False, repr=False)
+    omega: Matrix
+    omega_inv: Matrix
+    table: tuple
 
-    def __post_init__(self):
-        require_ints(d=self.d, b=self.b)
-        if self.d < 1 or self.b < 0:
+    def __init__(self, d: int, b: int, omega: Matrix | None = None):
+        require_ints(d=d, b=b)
+        if d < 1 or b < 0:
             raise ValueError("need d >= 1 and b >= 0")
-        om = self.omega if self.omega is not None else _standard_omega(self.b)
-        n = 2 * self.b
+        om = omega if omega is not None else _standard_omega(b)
+        n = 2 * b
         if len(om) != n or any(len(r) != n for r in om):
             raise ValueError("Omega must be 2b x 2b")
         if any(om[i][j] != -om[j][i] for i in range(n) for j in range(n)):
@@ -88,13 +92,11 @@ class CohomologyModel:
         for x in range(n + 4):
             table[E0][x] = table[x][E0] = (1, x)
         table[E2][E2] = (1, E4)
-        table[E2][E4] = table[E4][E2] = (self.d, E6)  # h * h^2 = h^3 = d o
+        table[E2][E4] = table[E4][E2] = (d, E6)  # h * h^2 = h^3 = d o
         for i, j in itertools.product(range(n), repeat=2):
             if om[i][j]:
                 table[4 + i][4 + j] = (om[i][j], E6)
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "omega_inv", _invert(om) if n else ())
-        object.__setattr__(self, "table", tuple(map(tuple, table)))
+        self._set(d, b, om, _invert(om) if n else (), tuple(map(tuple, table)))
 
     @classmethod
     def random_basis(cls, d: int, b: int, rng) -> "CohomologyModel":
@@ -275,8 +277,9 @@ def realize_monomial(mon, model: CohomologyModel, m: int) -> TensorClass:
 # -- sign adjudication ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdjudicationReport:
+class AdjudicationReport(NamedTuple):
+    """Signs and Y^2 dimensions read off one model; equal to the plain tuple of its fields."""
+
     b: int
     eps2: int
     eps3: int

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
-from .linalg import Rational, exact, require_ints
+from .linalg import Frozen, Rational, exact, require_ints
 
 # A raw generator is one of ('h', i), ('o', i), ('tau', i, j).
 Gen = tuple
 
 
-@dataclass(frozen=True)
-class RingParams:
+class RingParams(Frozen):
     """Numerical data fixing the ring R*(Y^m).
 
     d is the degree (integral of h^3 over Y), b is half the dimension of
@@ -40,20 +38,22 @@ class RingParams:
     shared-index relation, as :func:`chowtaut.oracle.adjudicate_signs` derives.
     """
 
+    __slots__ = _compared = ("d", "b", "m")
     d: int
     b: int
     m: int
     eps2: ClassVar[int] = -1
     eps3: ClassVar[int] = 1
 
-    def __post_init__(self):
-        require_ints(d=self.d, b=self.b, m=self.m)
-        if self.d < 1:
+    def __init__(self, d: int, b: int, m: int):
+        require_ints(d=d, b=b, m=m)
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.b < 0:
+        if b < 0:
             raise ValueError("b must be non-negative")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be a positive integer")
+        self._set(d, b, m)
 
 
 class Monomial(NamedTuple):
@@ -230,7 +230,7 @@ class TautRing:
         return CycleClass({Monomial(tau=(_pair(i, j),)): 1})
 
     def with_m(self, m: int) -> "TautRing":
-        return TautRing(replace(self.p, m=m))
+        return TautRing(type(self.p)(self.p.d, self.p.b, m))
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.p.m:

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import itertools
 import json
@@ -431,7 +430,7 @@ def test_adjudicate_randomized_compares_dims(capsys, monkeypatch):
         report = real(model)
         calls.append(model)
         if len(calls) == 2:
-            return dataclasses.replace(report, dims=report.dims[:-1] + ((6, 2),))
+            return report._replace(dims=report.dims[:-1] + ((6, 2),))
         return report
 
     monkeypatch.setattr(cli, "adjudicate_signs", dims_differ_once)
@@ -447,7 +446,7 @@ def test_adjudicate_fails_on_signs_other_than_printed(capsys, monkeypatch):
     # a model that derived eps2 = +1 contradicts the signs every certificate prints
     real = cli.adjudicate_signs
     monkeypatch.setattr(cli, "adjudicate_signs",
-                        lambda model: dataclasses.replace(real(model), eps2=1))
+                        lambda model: real(model)._replace(eps2=1))
     code, out, _ = run(capsys, "adjudicate", "--b", "1")
     rep = json.loads(out)
     assert rep["sym_relation_verified"] is True and rep["eps2"] == 1
