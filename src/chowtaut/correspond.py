@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import Frozen, Rational
-from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, relabel
+from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, check_index, relabel
 
 
 def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> CycleClass:
@@ -36,7 +36,7 @@ def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> Cycle
     if not a.is_homogeneous():
         raise ValueError("pushforward requires a homogeneous class")
     for t in forget:
-        ring._check_index(t)
+        check_index(t, ring.p.m)
     keep = [i for i in range(1, ring.p.m + 1) if i not in forget]
     mapping = {i: n + 1 for n, i in enumerate(keep)}
     return CycleClass({
@@ -58,7 +58,7 @@ def _check_lives_on(a: CycleClass, m: int, what: str) -> None:
 class Correspondence(Frozen):
     """A cycle class on Y^(r+s) acting as a correspondence Y^r -> Y^s.
 
-    Equal when the arities and the classes are; not hashable.
+    Equal, and hashed alike, when the params, the arities and the classes are.
     """
 
     __slots__ = _compared = ("params", "r", "s", "cls")
@@ -121,10 +121,6 @@ class Correspondence(Frozen):
         ring = self.ring
         prod = ring.multiply(x, self.cls)
         return pushforward_forget(ring, prod, set(range(1, self.r + 1)))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Correspondence) and self.r == other.r
-                and self.s == other.s and self.cls == other.cls)
 
 
 def identity_correspondence(p: RingParams) -> Correspondence:

@@ -75,8 +75,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, re.Match | None]]:
                 break
             bad = pos + len(rest) - len(rest.lstrip())
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup), m))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup), m))
         pos = m.end()
     tokens.append(("end", "", len(text), None))
     return tokens

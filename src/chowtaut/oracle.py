@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .linalg import Frozen, Rational, SparseRowBasis, exact, require_ints
-from .ring import Monomial, accumulate, perfect_matchings, slot_weight_count
+from .ring import (Monomial, _pair, accumulate, check_codim, check_index, perfect_matchings,
+                   slot_weight_count)
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -227,28 +228,22 @@ def tensor_integrate(x: TensorClass) -> Rational:
 
 
 def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
-    """Realize a ring generator ('h', i), ('o', i) or ('tau', i, j) as a tensor."""
+    """Realize a ring generator ('h', i), ('o', i) or ('tau', i, j) as a tensor.
 
-    def check(i):
-        if not 1 <= i <= m:
-            raise ValueError(f"factor index {i} out of range 1..{m}")
-
+    The index and tau-pair checks are the ring's; the algebra is not shared.
+    """
     kind = gen[0]
     if kind in ("h", "o"):
-        check(gen[1])
+        check_index(gen[1], m)
         slot = gen[1] - 1
         bid = E2 if kind == "h" else E6
         key = tuple(bid if t == slot else E0 for t in range(m))
         return TensorClass(model, m, {key: 1})
     if kind != "tau":
         raise ValueError(f"unknown generator {gen!r}")
-    i, j = gen[1], gen[2]
-    check(i)
-    check(j)
-    if i == j:
-        raise ValueError("tau requires distinct indices")
-    if i > j:
-        i, j = j, i
+    check_index(gen[1], m)
+    check_index(gen[2], m)
+    i, j = _pair(gen[1], gen[2])
     terms: dict[tuple[int, ...], Rational] = {}
     n = 2 * model.b
     for k in range(n):
@@ -393,8 +388,7 @@ class SubalgebraSpan:
 
     def dimension(self, c: int) -> int:
         m = self.m
-        if not 0 <= c <= 3 * m:
-            raise ValueError(f"codimension {c} out of range 0..{3 * m}")
+        check_codim(c, m)
         total = 0
         for n3 in range(0, m + 1, 2):
             weight = math.comb(m, n3) * slot_weight_count(m - n3, c - 3 * n3 // 2)

@@ -199,6 +199,18 @@ def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def check_index(i: int, m: int) -> None:
+    """The factor-index rule on Y^m, for the ring and the tensor model alike."""
+    if not 1 <= i <= m:
+        raise ValueError(f"factor index {i} out of range 1..{m}")
+
+
+def check_codim(c: int, m: int) -> None:
+    """The codimension rule on Y^m, for the ring and the tensor model alike."""
+    if not 0 <= c <= 3 * m:
+        raise ValueError(f"codimension {c} out of range 0..{3 * m}")
+
+
 class TautRing:
     """The ring R*(Y^m) for fixed parameters, with all core operations."""
 
@@ -217,24 +229,20 @@ class TautRing:
         return CycleClass({ONE: exact(q)})
 
     def h(self, i: int) -> CycleClass:
-        self._check_index(i)
+        check_index(i, self.p.m)
         return CycleClass({Monomial(h=((i, 1),)): 1})
 
     def o(self, i: int) -> CycleClass:
-        self._check_index(i)
+        check_index(i, self.p.m)
         return CycleClass({Monomial(o=(i,)): 1})
 
     def tau(self, i: int, j: int) -> CycleClass:
-        self._check_index(i)
-        self._check_index(j)
+        check_index(i, self.p.m)
+        check_index(j, self.p.m)
         return CycleClass({Monomial(tau=(_pair(i, j),)): 1})
 
     def with_m(self, m: int) -> "TautRing":
         return TautRing(type(self.p)(self.p.d, self.p.b, m))
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.p.m:
-            raise ValueError(f"factor index {i} out of range 1..{self.p.m}")
 
     # -- normal form ---------------------------------------------------
 
@@ -365,7 +373,7 @@ class TautRing:
         if self.p.m < n:
             raise ValueError(f"m={self.p.m} too small for a relator on {n} indices")
         for i in S:
-            self._check_index(i)
+            check_index(i, self.p.m)
         mult = 2 ** (self.p.b + 1) * math.factorial(self.p.b + 1)
         # Distinct matchings are distinct monomials, so no two terms merge.
         return CycleClass({
@@ -382,8 +390,7 @@ class TautRing:
         weight in {0,1,2,3} on each other factor (3 encodes the o flag).
         """
         m = self.p.m
-        if not 0 <= c <= 3 * m:
-            raise ValueError(f"codimension {c} out of range 0..{3 * m}")
+        check_codim(c, m)
         out: list[Monomial] = []
         for q in range(min(m // 2, c // 3) + 1):
             weights = [ws for ws in itertools.product(range(4), repeat=m - 2 * q)
@@ -419,11 +426,9 @@ class TautRing:
         taken term by term with :func:`slot_weight_count`, so only I_b(p) for
         3p <= c is counted.
         """
-        p = self.p
-        m = p.m
-        if not 0 <= c <= 3 * m:
-            raise ValueError(f"codimension {c} out of range 0..{3 * m}")
-        invariants = symplectic_invariant_counts(p.b, min(m // 2, c // 3))
+        m = self.p.m
+        check_codim(c, m)
+        invariants = symplectic_invariant_counts(self.p.b, min(m // 2, c // 3))
         return sum(math.comb(m, 2 * q) * count * slot_weight_count(m - 2 * q, c - 3 * q)
                    for q, count in enumerate(invariants))
 
@@ -487,7 +492,7 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
         if len(set(idx)) != len(idx):
             raise ValueError("relabeling is not injective on the used indices")
         for i in idx:
-            target._check_index(i)
+            check_index(i, target.p.m)
         accumulate(out, new, c)
     return CycleClass(out)
 

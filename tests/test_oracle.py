@@ -65,6 +65,24 @@ class TestRealize:
             realize(gen, model(), 2)
 
 
+@pytest.mark.parametrize("message, calls", [
+    ("factor index 3 out of range 1..2",
+     [lambda ring, mod: ring.h(3), lambda ring, mod: realize(("h", 3), mod, 2)]),
+    ("tau requires two distinct indices, got (2,2)",
+     [lambda ring, mod: ring.tau(2, 2), lambda ring, mod: realize(("tau", 2, 2), mod, 2)]),
+    ("codimension 7 out of range 0..6",
+     [lambda ring, mod: ring.graded_basis(7), lambda ring, mod: ring.graded_dimension(7),
+      lambda ring, mod: SubalgebraSpan(mod, 2).dimension(7)]),
+], ids=["factor-index", "equal-tau-pair", "codim"])
+def test_ring_and_model_reject_alike(message, calls):
+    """The ring and the tensor model check their arguments by the same rules."""
+    ring, mod = TautRing(RingParams(2, 1, 2)), model()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call(ring, mod)
+        assert str(info.value) == message
+
+
 class TestTensorMultiply:
     def test_slotwise_even(self):
         mod = model()

@@ -82,8 +82,7 @@ class TestEquality:
     def test_equal_values_hash_equal(self):
         for a, b in zip(one_of_each(), one_of_each()):
             assert a == b, type(a).__name__
-            if not isinstance(a, (Correspondence, ProjectorSet)):
-                assert hash(a) == hash(b), type(a).__name__
+            assert hash(a) == hash(b), type(a).__name__
 
     def test_computed_reports_compare_by_value(self):
         ps = projectors()
@@ -120,14 +119,18 @@ class TestEquality:
         assert a.table == b.table and a.table is not b.table
         assert a == b and hash(a) == hash(b)
 
-    def test_correspondence_is_unhashable(self):
+    def test_correspondence_identity_includes_params(self):
         f = projectors().pi[3]
-        with pytest.raises(TypeError):
-            hash(f)
         ring = TautRing(RingParams(2, 1, 2))
-        # equality ignores params: the class and the arities decide
-        assert f == Correspondence(RingParams(2, 1, 2), 1, 1, ring.tau(1, 2))
+        g = Correspondence(RingParams(2, 1, 2), 1, 1, ring.tau(1, 2))
+        assert f == g and hash(f) == hash(g)
         assert f != projectors().pi[2]
+        assert hash(ck_projectors(RingParams(2, 1, 2))) == hash(ck_projectors(RingParams(2, 1, 2)))
+        # the same class on other params is another correspondence
+        assert f.cls == projectors(RingParams(3, 10, 2)).pi[3].cls
+        assert f != projectors(RingParams(3, 10, 2)).pi[3]
+        assert projectors() != projectors(RingParams(3, 10, 2))
+        assert Correspondence(PaperSigns(2, 1, 2), 1, 1, ring.tau(1, 2)) != g
 
 
 class TestImmutability:
