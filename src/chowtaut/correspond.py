@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import Frozen, Rational
-from .ring import CycleClass, Monomial, RingParams, TautRing, accumulate, check_index, relabel
+from .ring import (CycleClass, Monomial, RingParams, TautRing, _monomial, accumulate,
+                   check_index, relabel)
 
 
 def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> CycleClass:
@@ -39,10 +40,10 @@ def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> Cycle
         check_index(t, ring.p.m)
     keep = [i for i in range(1, ring.p.m + 1) if i not in forget]
     mapping = {i: n + 1 for n, i in enumerate(keep)}
-    return CycleClass({
-        Monomial(h=tuple((mapping[i], e) for i, e in mon.h),
-                 o=tuple(mapping[i] for i in mon.o if i not in forget),
-                 tau=tuple((mapping[i], mapping[j]) for i, j in mon.tau)): c
+    return CycleClass._adopt({
+        _monomial([(mapping[i], mapping[j]) for i, j in mon.tau],
+                  [mapping[i] for i in mon.o if i not in forget],
+                  [(mapping[i], e) for i, e in mon.h]): c
         for mon, c in a.terms.items() if forget.issubset(mon.o)
     })
 
@@ -219,8 +220,7 @@ def verify_ck(ps: ProjectorSet) -> CKReport:
     for i in range(7):
         for j in range(7):
             got = pushforward_forget(ring3, ring3.multiply(ps.pi[j].cls, shifted[i]), {2})
-            want = ps.pi[i].cls if i == j else ring3.zero()
-            res = got - want
+            res = got - ps.pi[i].cls if i == j else got
             name = f"pi^{i} o pi^{i} = pi^{i}" if i == j else f"pi^{i} o pi^{j} = 0"
             checks.append(CheckResult(name, res.is_zero(), str(res)))
     delta = big_diagonal(TautRing(ps.params).with_m(2), 1, 2)
@@ -283,21 +283,23 @@ def verify_mck(ps: ProjectorSet) -> MCKReport:
 
         t(pi^i)_{1,2} * t(pi^j)_{1,3} * pi^k_{1,4},
 
-    which equals (t(pi^i) x t(pi^j) x pi^k)_* Delta^sm.  When the first two
-    legs already multiply to zero, the row's seven entries are zero with no
-    further product (0 * x = 0 and p_*(0) = 0).  Multiplicativity
+    which equals (t(pi^i) x t(pi^j) x pi^k)_* Delta^sm.  The transposes are
+    the relabeling that swaps factors 1 and 2.  When the first two legs
+    already multiply to zero, or the third leg is zero, the entry is zero
+    with no further product (0 * x = 0 and p_*(0) = 0).  Multiplicativity
     holds iff the entry vanishes whenever i + j != k; entries with
     i + j = k are reported but not asserted.
     """
     ring4 = TautRing(ps.params).with_m(4)
-    firsts = [f.transpose().cls for f in ps.pi]
+    firsts = [relabel(f.cls, {1: 2, 2: 1}, ring4) for f in ps.pi]
     seconds = [relabel(f, {2: 3}, ring4) for f in firsts]
     thirds = [relabel(f.cls, {2: 4}, ring4) for f in ps.pi]
+    zero = ring4.zero()
     entries: list[MCKEntry] = []
     for i, j in itertools.product(range(7), repeat=2):
         pair = ring4.multiply(firsts[i], seconds[j])
         for k in range(7):
-            value = (ring4.zero() if pair.is_zero()
+            value = (zero if pair.is_zero() or thirds[k].is_zero()
                      else pushforward_forget(ring4, ring4.multiply(pair, thirds[k]), {1}))
             entries.append(MCKEntry(i, j, k, value))
     return MCKReport(tuple(entries))

@@ -101,6 +101,11 @@ class Monomial(NamedTuple):
 ONE = Monomial()
 
 
+def _monomial(tau: Iterable, o: Iterable, h: Iterable) -> Monomial:
+    """The Monomial with these tau pairs, o indices and (index, exponent) pairs, each sorted."""
+    return tuple.__new__(Monomial, (tuple(sorted(tau)), tuple(sorted(o)), tuple(sorted(h))))
+
+
 class CycleClass:
     """A formal rational combination of normal-form monomials."""
 
@@ -113,6 +118,16 @@ class CycleClass:
                 c = exact(c)
                 if c:
                     self.terms[mon] = c
+
+    @classmethod
+    def _adopt(cls, terms: dict[Monomial, Rational]) -> "CycleClass":
+        """Take (not copy) a dict of nonzero int or Fraction coefficients; Fractions go through exact."""
+        for mon, c in terms.items():
+            if type(c) is not int:
+                terms[mon] = exact(c)
+        new = object.__new__(cls)
+        new.terms = terms
+        return new
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -128,7 +143,7 @@ class CycleClass:
         return cods.pop()
 
     def is_homogeneous(self) -> bool:
-        return self.codim != "inhomogeneous"
+        return len(self.terms) <= 1 or self.codim != "inhomogeneous"
 
     def coefficient(self, mon: Monomial) -> Rational:
         return self.terms.get(mon, 0)
@@ -137,7 +152,7 @@ class CycleClass:
         out = dict(self.terms)
         for mon, c in other.terms.items():
             accumulate(out, mon, c)
-        return CycleClass(out)
+        return CycleClass._adopt(out)
 
     def __sub__(self, other: "CycleClass") -> "CycleClass":
         return self + other.scale(-1)
@@ -149,7 +164,7 @@ class CycleClass:
         q = exact(q)
         if not q:
             return CycleClass()
-        return CycleClass({mon: c * q for mon, c in self.terms.items()})
+        return CycleClass._adopt({mon: c * q for mon, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycleClass) and self.terms == other.terms
@@ -246,26 +261,29 @@ class TautRing:
 
     # -- normal form ---------------------------------------------------
 
-    def _reduce(self, hc: dict[int, int], oc: dict[int, int],
-                taus: list[tuple[int, int]]) -> tuple[int, Monomial | None]:
-        """Rewrite a commutative word to normal form; returns (coefficient factor, monomial).
+    def _reduce(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:
+        """Normal form of the product of two normal-form monomials: (coefficient factor, monomial).
 
-        Each tau_{i,j} is inserted into a partial matching (mate[i] == j iff
-        mate[j] == i).  If i and j are matched to each other, the pair squares
-        away to eps2*2b*o_i*o_j.  Otherwise each end already matched, say i to
-        a, takes one shared-index rewrite tau_{a,i}*tau_{i,j} -> eps3*tau_{a,j}*o_i:
-        i gets o and the new pair moves to a.  No check below tests a count in
-        oc for n > 0: :meth:`multiply` seeds each with 1 and this only increments.
+        The partial matching (mate[i] == j iff mate[j] == i) starts as m1's
+        tau pairs, and each tau_{i,j} of m2 is inserted into it.  If i and j
+        are matched to each other, the pair squares away to eps2*2b*o_i*o_j.
+        Otherwise each end already matched, say i to a, takes one shared-index
+        rewrite tau_{a,i}*tau_{i,j} -> eps3*tau_{a,j}*o_i: i gets o and the new
+        pair moves to a.  h exponents add, and h^3 becomes d*o.  No rule takes
+        an o flag away, so the product is 0 exactly when the factor is, or an
+        index is used twice across h, the o flags and the matching.
         """
         p = self.p
         coeff = 1
         mate: dict[int, int] = {}
-        for i, j in taus:
+        for i, j in m1.tau:
+            mate[i], mate[j] = j, i
+        o = [*m1.o, *m2.o]
+        for i, j in m2.tau:
             if mate.get(i) == j:
                 del mate[i], mate[j]
                 coeff *= p.eps2 * 2 * p.b
-                oc[i] = oc.get(i, 0) + 1
-                oc[j] = oc.get(j, 0) + 1
+                o += (i, j)
                 continue
             pair = [i, j]
             for n, end in enumerate(pair):
@@ -273,27 +291,23 @@ class TautRing:
                 if a is not None:
                     del mate[a]
                     coeff *= p.eps3
-                    oc[end] = oc.get(end, 0) + 1
+                    o.append(end)
                     pair[n] = a
             i, j = pair
             mate[i], mate[j] = j, i
-        if not coeff:
-            return 0, None
-        for i in list(hc):
-            while hc[i] >= 3:
-                hc[i] -= 3
-                oc[i] = oc.get(i, 0) + 1
+        h = dict(m1.h)
+        for i, e in m2.h:
+            e += h.pop(i, 0)
+            if e >= 3:
                 coeff *= p.d
-            if hc[i] and i in mate:
-                return 0, None
-        for i, n in oc.items():
-            if n >= 2 or hc.get(i, 0) or i in mate:
-                return 0, None
-        return coeff, Monomial(
-            h=tuple(sorted((i, e) for i, e in hc.items() if e)),
-            o=tuple(sorted(oc)),
-            tau=tuple(sorted((i, j) for i, j in mate.items() if i < j)),
-        )
+                o.append(i)
+                e -= 3
+            if e:
+                h[i] = e
+        used = [*h, *o, *mate]
+        if not coeff or len(set(used)) < len(used):
+            return 0, None
+        return coeff, _monomial([(i, j) for i, j in mate.items() if i < j], o, h.items())
 
     def normal_form(self, raw: Iterable[Gen], coeff: Rational = 1) -> CycleClass:
         """Normal form of a single product of generators times a coefficient."""
@@ -309,19 +323,13 @@ class TautRing:
 
     def multiply(self, a: CycleClass, b: CycleClass) -> CycleClass:
         out: dict[Monomial, Rational] = {}
+        reduce = self._reduce
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                hc: dict[int, int] = {i: e for i, e in m1.h}
-                for i, e in m2.h:
-                    hc[i] = hc.get(i, 0) + e
-                oc: dict[int, int] = {i: 1 for i in m1.o}
-                for i in m2.o:
-                    oc[i] = oc.get(i, 0) + 1
-                taus = list(m1.tau) + list(m2.tau)
-                factor, mon = self._reduce(hc, oc, taus)
+                factor, mon = reduce(m1, m2)
                 if mon is not None:
-                    accumulate(out, mon, c1 * c2 * factor)
-        return CycleClass(out)
+                    accumulate(out, mon, c1 * c2 if factor == 1 else c1 * c2 * factor)
+        return CycleClass._adopt(out)
 
     def product(self, classes: Sequence[CycleClass]) -> CycleClass:
         acc = self.one()
@@ -342,7 +350,7 @@ class TautRing:
         acc, xk = self.zero(), self.one()
         for k in range(min(n, 3 * self.p.m) + 1):
             if k:
-                xk = self.multiply(xk, x)
+                xk = self.multiply(xk, x) if k > 1 else x
             if (c or k == n) and not xk.is_zero():  # spares C(n,k) where x^k = 0
                 acc = acc + xk.scale(math.comb(n, k) * c ** (n - k))
         return acc
@@ -482,19 +490,16 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
     """
     out: dict[Monomial, Rational] = {}
     for mon, c in a.terms.items():
-        new = Monomial(
-            h=tuple(sorted((mapping.get(i, i), e) for i, e in mon.h)),
-            o=tuple(sorted(mapping.get(i, i) for i in mon.o)),
-            tau=tuple(sorted(_pair(mapping.get(i, i), mapping.get(j, j))
-                             for i, j in mon.tau)),
-        )
+        new = _monomial([_pair(mapping.get(i, i), mapping.get(j, j)) for i, j in mon.tau],
+                        [mapping.get(i, i) for i in mon.o],
+                        [(mapping.get(i, i), e) for i, e in mon.h])
         idx = new.indices()
         if len(set(idx)) != len(idx):
             raise ValueError("relabeling is not injective on the used indices")
         for i in idx:
             check_index(i, target.p.m)
         accumulate(out, new, c)
-    return CycleClass(out)
+    return CycleClass._adopt(out)
 
 
 # -- combinatorial helpers -------------------------------------------------

@@ -24,7 +24,8 @@ from chowtaut.oracle import (
     realize_monomial,
     tensor_multiply,
 )
-from chowtaut.ring import CycleClass, RingParams, TautRing
+from chowtaut.catalog import load_catalog
+from chowtaut.ring import CycleClass, RingParams, TautRing, relabel
 
 
 def params(d=2, b=1, m=2):
@@ -385,6 +386,28 @@ class TestVerifyMCK:
         assert [e.value for e in report.entries] == mck_on_y6(bad)
         assert not report.passed
         assert not report.entry(1, 1, 0).value.is_zero()  # i + j = 2 != 0: fails MCK
+
+    def test_pushes_forward_once_per_nonzero_pair_and_third_leg(self, monkeypatch):
+        # 13 nonzero leg pairs times the 5 nonzero projectors; a shortcut that
+        # skipped entries by degree alone would drop pushforwards from this count
+        calls = []
+
+        def counting(ring, a, forget):
+            calls.append(forget)
+            return pushforward_forget(ring, a, forget)
+
+        monkeypatch.setattr("chowtaut.correspond.pushforward_forget", counting)
+        for rec in load_catalog():
+            ps = ck_projectors(params(d=rec.degree, b=rec.h12))
+            calls.clear()
+            verify_mck(ps)
+            r4 = TautRing(params(d=rec.degree, b=rec.h12, m=4))
+            firsts = [relabel(f.cls, {1: 2, 2: 1}, r4) for f in ps.pi]
+            seconds = [relabel(f, {2: 3}, r4) for f in firsts]
+            expected = sum(1 for i, j, k in itertools.product(range(7), repeat=3)
+                           if not r4.multiply(firsts[i], seconds[j]).is_zero()
+                           and not ps.pi[k].is_zero())
+            assert len(calls) == expected == 65, rec.label
 
     def test_entry_000_reported_not_asserted(self):
         report = verify_mck(ck_projectors(params(d=2, b=1)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowtaut.correspond import ck_projectors, pushforward_forget, verify_mck
 from chowtaut.linalg import SparseRowBasis
 from chowtaut.oracle import CohomologyModel, TensorClass, realize, tensor_multiply
 from chowtaut.ring import (
@@ -137,6 +138,25 @@ def test_coefficients_are_exact_at_the_boundary():
                    tensor_multiply(t, t).terms.values(),
                    realize(("tau", 1, 2), rand, 2).terms.values()):
         assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_engine_sums_keep_integral_coefficients_int():
+    r = ring(d=2, b=1, m=3)
+    half = r.h(1).scale(Fraction(1, 2))
+    one = r.multiply(half, r.h(2).scale(2))
+    assert one.terms == {Monomial(h=((1, 1), (2, 1))): 1}
+    assert_exact(one)
+    assert_exact(half.scale(2))
+    assert_exact(half + half)
+    assert_exact(half + r.h(2).scale(Fraction(1, 3)))
+    assert_exact(relabel(half.scale(Fraction(4, 2)), {1: 3}, r))
+    pushed = pushforward_forget(r, r.multiply(r.o(1).scale(Fraction(1, 2)),
+                                              r.tau(2, 3).scale(Fraction(6))), {1})
+    assert pushed.terms == {Monomial(tau=((1, 2),)): 3}
+    assert_exact(pushed)
+    for d, b in [(1, 0), (2, 1), (3, 5)]:
+        for e in verify_mck(ck_projectors(RingParams(d, b, 2))).entries:
+            assert_exact(e.value)
 
 
 class TestMultiply:
@@ -338,6 +358,26 @@ class TestConfluenceAndQuotient:
             got = r.multiply(CycleClass({m1: 1}), CycleClass({m2: 1}))
             assert got == reduce_with_order(r, m1.generators() + m2.generators(), rng)
 
+    @pytest.mark.parametrize("params", [RingParams, PaperSigns])
+    @pytest.mark.parametrize("d,b", [(1, 0), (2, 1), (3, 2)])
+    def test_product_kernel_on_every_pair_of_basis_monomials(self, params, d, b):
+        # every ordered pair of basis monomials for m <= 3; at m = 4, where a
+        # product can keep two tau pairs, every pair of monomials with tau and
+        # a sample of the rest
+        rng = random.Random(d)
+        for m in (1, 2, 3, 4):
+            r = TautRing(params(d, b, m))
+            basis = [mon for c in range(3 * m + 1) for mon in r.graded_basis(c)]
+            pairs = list(itertools.product(basis, repeat=2))
+            if m == 4:
+                pairs = ([(m1, m2) for m1, m2 in pairs if m1.tau and m2.tau]
+                         + rng.sample(pairs, 1500))
+            for m1, m2 in pairs:
+                got = r.multiply(CycleClass({m1: 1}), CycleClass({m2: 1}))
+                assert got == reduce_with_order(r, m1.generators() + m2.generators(), rng)
+                for mon in got.terms:
+                    assert_normal_form(mon)
+
     def test_integration_well_defined_on_relator_ideal(self):
         rng = random.Random(5)
         checked = 0
@@ -398,6 +438,21 @@ class TestCombinatorics:
 
 
 # -- helpers ---------------------------------------------------------------
+
+
+def assert_exact(cls):
+    """Every coefficient is an int or a Fraction that is not an integer."""
+    for c in cls.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def assert_normal_form(mon):
+    """Sorted parts, h exponents in {1, 2}, pairs i < j, and no index used twice."""
+    assert mon.tau == tuple(sorted(mon.tau)) and all(i < j for i, j in mon.tau)
+    assert mon.o == tuple(sorted(mon.o))
+    assert mon.h == tuple(sorted(mon.h)) and all(e in (1, 2) for _, e in mon.h)
+    idx = mon.indices()
+    assert len(set(idx)) == len(idx)
 
 
 def random_raw(r, rng, max_len=7):
