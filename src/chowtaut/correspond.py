@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .linalg import Frozen, Rational
 from .ring import (CycleClass, Monomial, RingParams, TautRing, _monomial, accumulate,
@@ -23,29 +23,71 @@ from .ring import (CycleClass, Monomial, RingParams, TautRing, _monomial, accumu
 def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> CycleClass:
     """Push a class on Y^m forward along the projection forgetting the given factors.
 
-    One rule: a monomial survives, with the same coefficient, exactly when
-    every forgotten factor carries o (the integral of o is 1); otherwise it
-    pushes to 0.  This is complete because a normal-form monomial puts no o
-    on an index that carries h or sits in a tau pair.  So a forgotten factor
-    without o holds h^k (k < 3, zero for degree reasons), a tau pair
-    ((p_1)_* tau = (p_1)_* Delta - (1/d)(p_1)_*(h^0 x h^3) = 1 - 1 = 0,
-    validated against the tensor model in the test suite) or nothing (zero
-    for degree reasons).  The kept factors are renumbered to 1..m-|forget|
-    by the increasing map, which keeps every index tuple sorted; distinct
+    One rule, :func:`_forgetting`: a monomial survives, with the same
+    coefficient, exactly when every forgotten factor carries o (the integral
+    of o is 1); otherwise it pushes to 0.  This is complete because a
+    normal-form monomial puts no o on an index that carries h or sits in a
+    tau pair.  So a forgotten factor without o holds h^k (k < 3, zero for
+    degree reasons), a tau pair ((p_1)_* tau = (p_1)_* Delta -
+    (1/d)(p_1)_*(h^0 x h^3) = 1 - 1 = 0, validated against the tensor model
+    in the test suite) or nothing (zero for degree reasons).  Distinct
     survivors stay distinct, so no terms merge.
     """
+    _require_homogeneous(a)
+    push = _forgetting(ring, forget)
+    return CycleClass._adopt({new: c for mon, c in a.terms.items()
+                              if (new := push(mon)) is not None})
+
+
+def _require_homogeneous(a: CycleClass) -> None:
     if not a.is_homogeneous():
         raise ValueError("pushforward requires a homogeneous class")
+
+
+def _forgetting(ring: TautRing, forget: set[int]) -> Callable[[Monomial], Monomial | None]:
+    """The pushforward's rule: a monomial's image, or None unless every forgotten factor has o.
+
+    The forget set is checked and the renumbering built once.  Kept factors
+    go to 1..m-|forget| by the increasing map, which keeps index tuples sorted.
+    """
     for t in forget:
         check_index(t, ring.p.m)
     keep = [i for i in range(1, ring.p.m + 1) if i not in forget]
     mapping = {i: n + 1 for n, i in enumerate(keep)}
-    return CycleClass._adopt({
-        _monomial([(mapping[i], mapping[j]) for i, j in mon.tau],
-                  [mapping[i] for i in mon.o if i not in forget],
-                  [(mapping[i], e) for i, e in mon.h]): c
-        for mon, c in a.terms.items() if forget.issubset(mon.o)
-    })
+
+    def push(mon: Monomial) -> Monomial | None:
+        if not forget.issubset(mon.o):
+            return None
+        return _monomial([(mapping[i], mapping[j]) for i, j in mon.tau],
+                         [mapping[i] for i in mon.o if i not in forget],
+                         [(mapping[i], e) for i, e in mon.h])
+
+    return push
+
+
+def _push_pull(ring: TautRing, forget: set[int]) -> Callable[[CycleClass, CycleClass], CycleClass]:
+    """The kernel a, b -> p_*(a*b), p forgetting these factors of Y^m.
+
+    Equal, with coefficient types and errors, to ``pushforward_forget(ring,
+    ring.multiply(a, b), forget)``, but no product class is built: each term
+    pair's product monomial goes straight through the :func:`_forgetting`
+    rule, which is injective on survivors, so the sums are those of multiply.
+    """
+    push = _forgetting(ring, forget)
+    reduce = ring._reduce
+
+    def push_pull(a: CycleClass, b: CycleClass) -> CycleClass:
+        _require_homogeneous(a)
+        _require_homogeneous(b)
+        out: dict[Monomial, Rational] = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                factor, mon = reduce(m1, m2)
+                if mon is not None and (mon := push(mon)) is not None:
+                    accumulate(out, mon, c1 * c2 if factor == 1 else c1 * c2 * factor)
+        return CycleClass._adopt(out)
+
+    return push_pull
 
 
 def _check_lives_on(a: CycleClass, m: int, what: str) -> None:
@@ -91,8 +133,15 @@ class Correspondence(Frozen):
         return Correspondence(self.params, self.s, self.r,
                               relabel(self.cls, mapping, self.ring))
 
+    def _check_same_y(self, g: "Correspondence", op: str) -> None:
+        """Raise ValueError unless g has the same (d, b) and parameter class (so signs)."""
+        p, q = self.params, g.params
+        if type(p) is not type(q) or (p.d, p.b) != (q.d, q.b):
+            raise ValueError(f"cannot {op} correspondences on different Y: {p!r} and {q!r}")
+
     def compose(self, g: "Correspondence") -> "Correspondence":
         """self : Y^a -> Y^b followed by g : Y^b -> Y^c (i.e. g o self)."""
+        self._check_same_y(g, "compose")
         if g.r != self.s:
             raise ValueError(f"arity mismatch: cannot compose {self.s} -> {g.r}")
         a, b, c = self.r, self.s, g.s
@@ -105,6 +154,7 @@ class Correspondence(Frozen):
 
     def tensor(self, g: "Correspondence") -> "Correspondence":
         """Product correspondence Y^(r1+r2) -> Y^(s1+s2)."""
+        self._check_same_y(g, "tensor")
         r, s = self.r + g.r, self.s + g.s
         big = TautRing(self.params).with_m(r + s)
         f_map = {self.r + j: r + j for j in range(1, self.s + 1)}
@@ -135,7 +185,7 @@ def big_diagonal(ring: TautRing, i: int, j: int) -> CycleClass:
     d = ring.p.d
     acc = ring.tau(i, j)
     for k in range(4):
-        term = ring.multiply(ring.power(ring.h(i), 3 - k), ring.power(ring.h(j), k))
+        term = ring.product([ring.h(i)] * (3 - k) + [ring.h(j)] * k)
         acc = acc + term.scale(Fraction(1, d))
     return acc
 
@@ -179,8 +229,7 @@ def ck_projectors(p: RingParams) -> ProjectorSet:
     for i in range(7):
         if i % 2 == 0:
             j = i // 2
-            cls = ring.multiply(ring.power(ring.h(1), 3 - j),
-                                ring.power(ring.h(2), j)).scale(Fraction(1, d))
+            cls = ring.product([ring.h(1)] * (3 - j) + [ring.h(2)] * j).scale(Fraction(1, d))
         elif i == 3:
             cls = ring.tau(1, 2)
         else:
@@ -212,22 +261,26 @@ def verify_ck(ps: ProjectorSet) -> CKReport:
     """Check idempotency, mutual orthogonality, completeness and transpose duality.
 
     Each composition pi^i o pi^j is one product on Y^3 pushed forward along
-    factor 2, pi^j_{1,2} * pi^i_{2,3}, which is what ``compose`` computes.
+    factor 2, pi^j_{1,2} * pi^i_{2,3}, which is what ``compose`` computes, taken
+    by the push-pull kernel and skipped when a leg is zero.
     """
-    ring3 = TautRing(ps.params).with_m(3)
+    ring2 = TautRing(ps.params)
+    ring3 = ring2.with_m(3)
+    push_pull = _push_pull(ring3, {2})
     shifted = [relabel(f.cls, {1: 2, 2: 3}, ring3) for f in ps.pi]
+    zero = ring3.zero()
     checks: list[CheckResult] = []
     for i in range(7):
         for j in range(7):
-            got = pushforward_forget(ring3, ring3.multiply(ps.pi[j].cls, shifted[i]), {2})
+            first = ps.pi[j].cls
+            got = zero if first.is_zero() or shifted[i].is_zero() else push_pull(first, shifted[i])
             res = got - ps.pi[i].cls if i == j else got
             name = f"pi^{i} o pi^{i} = pi^{i}" if i == j else f"pi^{i} o pi^{j} = 0"
             checks.append(CheckResult(name, res.is_zero(), str(res)))
-    delta = big_diagonal(TautRing(ps.params).with_m(2), 1, 2)
-    res = ps.diagonal() - delta
+    res = ps.diagonal() - big_diagonal(ring2, 1, 2)
     checks.append(CheckResult("sum_i pi^i = Delta", res.is_zero(), str(res)))
     for i in range(7):
-        res = ps.pi[i].transpose().cls - ps.pi[6 - i].cls
+        res = relabel(ps.pi[i].cls, {1: 2, 2: 1}, ring2) - ps.pi[6 - i].cls
         checks.append(CheckResult(f"t(pi^{i}) = pi^{6 - i}", res.is_zero(), str(res)))
     return CKReport(tuple(checks))
 
@@ -284,23 +337,25 @@ def verify_mck(ps: ProjectorSet) -> MCKReport:
         t(pi^i)_{1,2} * t(pi^j)_{1,3} * pi^k_{1,4},
 
     which equals (t(pi^i) x t(pi^j) x pi^k)_* Delta^sm.  The transposes are
-    the relabeling that swaps factors 1 and 2.  When the first two legs
-    already multiply to zero, or the third leg is zero, the entry is zero
-    with no further product (0 * x = 0 and p_*(0) = 0).  Multiplicativity
-    holds iff the entry vanishes whenever i + j != k; entries with
-    i + j = k are reported but not asserted.
+    the relabeling that swaps factors 1 and 2; the third leg goes through the
+    push-pull kernel.  A product with a zero leg, such as a first pair that
+    multiplies to zero, is zero with no further product (0 * x = 0 and
+    p_*(0) = 0).  Multiplicativity holds iff the entry vanishes whenever
+    i + j != k; entries with i + j = k are reported but not asserted.
     """
     ring4 = TautRing(ps.params).with_m(4)
     firsts = [relabel(f.cls, {1: 2, 2: 1}, ring4) for f in ps.pi]
     seconds = [relabel(f, {2: 3}, ring4) for f in firsts]
     thirds = [relabel(f.cls, {2: 4}, ring4) for f in ps.pi]
+    push_pull = _push_pull(ring4, {1})
     zero = ring4.zero()
     entries: list[MCKEntry] = []
     for i, j in itertools.product(range(7), repeat=2):
-        pair = ring4.multiply(firsts[i], seconds[j])
+        pair = (zero if firsts[i].is_zero() or seconds[j].is_zero()
+                else ring4.multiply(firsts[i], seconds[j]))
         for k in range(7):
             value = (zero if pair.is_zero() or thirds[k].is_zero()
-                     else pushforward_forget(ring4, ring4.multiply(pair, thirds[k]), {1}))
+                     else push_pull(pair, thirds[k]))
             entries.append(MCKEntry(i, j, k, value))
     return MCKReport(tuple(entries))
 

@@ -24,8 +24,11 @@ from chowtaut.oracle import (
     realize_monomial,
     tensor_multiply,
 )
+from chowtaut import correspond
 from chowtaut.catalog import load_catalog
 from chowtaut.ring import CycleClass, RingParams, TautRing, relabel
+
+from ring_reference import PaperSigns
 
 
 def params(d=2, b=1, m=2):
@@ -83,6 +86,59 @@ class TestPushforward:
             for mon, c in pushed.terms.items():
                 expected = expected + realize_monomial(mon, mod, len(kept)).scale(c)
             assert model_out == expected
+
+
+class TestPushPull:
+    """The fused kernel of the certificates against multiply then pushforward_forget."""
+
+    @pytest.mark.parametrize("params", [RingParams, PaperSigns])
+    @pytest.mark.parametrize("d,b", [(1, 0), (2, 1), (3, 2)])
+    def test_matches_unfused_route_on_every_pair_of_basis_monomials(self, params, d, b):
+        # every ordered pair of basis monomials on Y^3 and every nonempty proper
+        # forget set; the coefficients cycle so that some products stay int and
+        # some keep a denominator
+        r = TautRing(params(d, b, 3))
+        basis = [mon for c in range(10) for mon in r.graded_basis(c)]
+        coeffs = [1, Fraction(1, 2), -2, Fraction(2, 3), 3]
+        kernels = [(set(F), correspond._push_pull(r, set(F)))
+                   for n in (1, 2) for F in itertools.combinations((1, 2, 3), n)]
+        for n, (m1, m2) in enumerate(itertools.product(basis, repeat=2)):
+            x = CycleClass({m1: coeffs[n % 5]})
+            y = CycleClass({m2: coeffs[n % 3]})
+            product = r.multiply(x, y)
+            for forget, kernel in kernels:
+                assert_same_class(kernel(x, y), pushforward_forget(r, product, forget))
+
+    @pytest.mark.parametrize("params", [RingParams, PaperSigns])
+    def test_matches_unfused_route_on_sums(self, params):
+        # terms of one codim merge and cancel in the product before the push
+        rng = random.Random(7)
+        r = TautRing(params(2, 1, 3))
+        kernels = [(F, correspond._push_pull(r, F)) for F in ({1}, {2}, {3}, {1, 3})]
+        for _ in range(300):
+            x, y = random_homogeneous(r, rng), random_homogeneous(r, rng)
+            if x is None or y is None:
+                continue
+            product = r.multiply(x, y)
+            for forget, kernel in kernels:
+                assert_same_class(kernel(x, y), pushforward_forget(r, product, forget))
+
+    def test_errors_match_pushforward(self):
+        r = TautRing(params(m=3))
+        mixed = r.h(1) + r.o(2)
+        with pytest.raises(ValueError) as want:
+            pushforward_forget(r, mixed, {1})
+        kernel = correspond._push_pull(r, {1})
+        for x, y in [(mixed, r.h(3)), (r.h(3), mixed)]:
+            with pytest.raises(ValueError) as got:
+                kernel(x, y)
+            assert str(got.value) == str(want.value)
+        for forget in ({0}, {4}, {1, 4}):
+            with pytest.raises(ValueError) as want:
+                pushforward_forget(r, r.o(1), forget)
+            with pytest.raises(ValueError) as got:
+                correspond._push_pull(r, forget)
+            assert str(got.value) == str(want.value)
 
 
 class TestCompose:
@@ -161,6 +217,20 @@ class TestCompose:
             ps.pi[3].apply(TautRing(p).tau(1, 2))
         point = TautRing(params(m=1)).o(1)
         assert ps.pi[6].apply(point) == point
+
+    def test_partner_on_another_y_rejected(self):
+        # (d, b) and the sign class must agree, as in a ProjectorSet; m may differ
+        f = ck_projectors(RingParams(2, 1, 2)).pi[3]
+        g = ck_projectors(RingParams(5, 3, 2)).pi[3]
+        paper = ck_projectors(PaperSigns(2, 1, 2)).pi[3]
+        for other in (g, paper):
+            with pytest.raises(ValueError, match="on different Y"):
+                f.compose(other)
+            with pytest.raises(ValueError, match="on different Y"):
+                other.compose(f)
+            with pytest.raises(ValueError, match="on different Y"):
+                f.tensor(other)
+        assert f.tensor(f).params == RingParams(2, 1, 4)
 
     def test_arity_mismatch(self):
         p = params()
@@ -282,6 +352,18 @@ class TestVerifyCK:
         assert [c.ok for c in report.checks[:49]] == [r == "0" for r in residuals]
         assert not report.passed
 
+    def test_push_pulls_once_per_pair_of_nonzero_projectors(self, monkeypatch):
+        # the 5 nonzero projectors give 25 compositions; a shortcut that skipped
+        # pairs by degree alone would drop push-pulls from this count
+        calls = count_push_pulls(monkeypatch)
+        for rec in load_catalog():
+            ps = ck_projectors(params(d=rec.degree, b=rec.h12))
+            calls.clear()
+            verify_ck(ps)
+            nonzero = sum(not f.is_zero() for f in ps.pi)
+            assert len(calls) == nonzero ** 2 == 25, rec.label
+            assert all(forget == {2} for forget in calls)
+
     def test_checks_do_not_go_through_compose(self, monkeypatch):
         def no_compose(*args):
             raise AssertionError("compose called")
@@ -388,15 +470,10 @@ class TestVerifyMCK:
         assert not report.entry(1, 1, 0).value.is_zero()  # i + j = 2 != 0: fails MCK
 
     def test_pushes_forward_once_per_nonzero_pair_and_third_leg(self, monkeypatch):
-        # 13 nonzero leg pairs times the 5 nonzero projectors; a shortcut that
-        # skipped entries by degree alone would drop pushforwards from this count
-        calls = []
-
-        def counting(ring, a, forget):
-            calls.append(forget)
-            return pushforward_forget(ring, a, forget)
-
-        monkeypatch.setattr("chowtaut.correspond.pushforward_forget", counting)
+        # 13 nonzero leg pairs times the 5 nonzero projectors, each one call of
+        # the push-pull kernel; a shortcut that skipped entries by degree alone
+        # would drop push-pulls from this count
+        calls = count_push_pulls(monkeypatch)
         for rec in load_catalog():
             ps = ck_projectors(params(d=rec.degree, b=rec.h12))
             calls.clear()
@@ -408,6 +485,7 @@ class TestVerifyMCK:
                            if not r4.multiply(firsts[i], seconds[j]).is_zero()
                            and not ps.pi[k].is_zero())
             assert len(calls) == expected == 65, rec.label
+            assert all(forget == {1} for forget in calls)
 
     def test_entry_000_reported_not_asserted(self):
         report = verify_mck(ck_projectors(params(d=2, b=1)))
@@ -436,6 +514,31 @@ class TestInvolution:
 
 
 # -- helpers ---------------------------------------------------------------
+
+
+def assert_same_class(got, want):
+    """Equal classes whose coefficients also have the same types (int or Fraction)."""
+    assert got == want
+    assert {mon: type(c) for mon, c in got.terms.items()} == \
+        {mon: type(c) for mon, c in want.terms.items()}
+
+
+def count_push_pulls(monkeypatch):
+    """Record the forget set of every call of every push-pull kernel built from now on."""
+    calls = []
+    build = correspond._push_pull
+
+    def counting_build(ring, forget):
+        kernel = build(ring, forget)
+
+        def counted(a, b):
+            calls.append(forget)
+            return kernel(a, b)
+
+        return counted
+
+    monkeypatch.setattr(correspond, "_push_pull", counting_build)
+    return calls
 
 
 def model_apply(corr: TensorClass, x: TensorClass, mod) -> TensorClass:
@@ -467,7 +570,7 @@ def mck_on_y6(ps):
 
 
 def random_homogeneous(ring, rng):
-    """Random homogeneous class on Y^2, or None when the draw is zero."""
+    """Random homogeneous class of codim <= 6 on the ring's Y^m, or None when the draw is zero."""
     c = rng.randint(0, 6)
     basis = ring.graded_basis(c)
     terms = {mon: Fraction(rng.randint(-2, 2)) for mon in rng.sample(basis, min(3, len(basis)))}

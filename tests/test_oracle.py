@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from chowtaut.oracle import (
     tensor_multiply,
     tensor_unit,
 )
-from chowtaut.ring import RingParams, TautRing
+from chowtaut.ring import CycleClass, RingParams, TautRing
 
 from span_reference import AllProductsSpan
 
@@ -320,6 +321,33 @@ class TestRealizeMonomial:
             for mon, coeff in nf.terms.items():
                 via_nf = via_nf + realize_monomial(mon, mod, 3).scale(coeff)
             assert direct == via_nf
+
+
+class TestRingHomomorphism:
+    """realize is a ring map: the product kernel TautRing._reduce agrees with the model."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_every_pair_of_basis_monomials(self, d, b):
+        # every ordered pair whose codims sum to at most 3m, for m <= 3, and
+        # samples of such pairs at m = 4 and m = 6
+        mod = model(d=d, b=b)
+        rng = random.Random(10 * d + b)
+        for m, samples in [(1, None), (2, None), (3, None), (4, 500), (6, 200)]:
+            ring = TautRing(RingParams(d, b, m))
+            basis = [mon for c in range(3 * m + 1) for mon in ring.graded_basis(c)]
+            if samples is None:
+                pairs = list(itertools.product(basis, repeat=2))
+            else:
+                pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(2 * samples)]
+            pairs = [(mu, nu) for mu, nu in pairs if mu.codim + nu.codim <= 3 * m]
+            for mu, nu in pairs[:samples]:
+                product = ring.multiply(CycleClass({mu: 1}), CycleClass({nu: 1}))
+                image = TensorClass(mod, m)
+                for mon, c in product.terms.items():
+                    image = image + realize_monomial(mon, mod, m).scale(c)
+                assert image == tensor_multiply(realize_monomial(mu, mod, m),
+                                                realize_monomial(nu, mod, m)), (m, mu, nu)
 
 
 class TestLinalg:
