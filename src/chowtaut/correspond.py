@@ -23,67 +23,47 @@ from .ring import (CycleClass, Monomial, RingParams, TautRing, _monomial, accumu
 def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> CycleClass:
     """Push a class on Y^m forward along the projection forgetting the given factors.
 
-    One rule, :func:`_forgetting`: a monomial survives, with the same
-    coefficient, exactly when every forgotten factor carries o (the integral
-    of o is 1); otherwise it pushes to 0.  This is complete because a
-    normal-form monomial puts no o on an index that carries h or sits in a
-    tau pair.  So a forgotten factor without o holds h^k (k < 3, zero for
-    degree reasons), a tau pair ((p_1)_* tau = (p_1)_* Delta -
-    (1/d)(p_1)_*(h^0 x h^3) = 1 - 1 = 0, validated against the tensor model
-    in the test suite) or nothing (zero for degree reasons).  Distinct
-    survivors stay distinct, so no terms merge.
+    This is the push-pull kernel of :func:`_push_pull` against the unit,
+    p_*(a) = p_*(a*1).  A monomial survives, with the same coefficient,
+    exactly when every forgotten factor carries o (the integral of o is 1);
+    otherwise it pushes to 0.  This is complete because a normal-form
+    monomial puts no o on an index that carries h or sits in a tau pair.  So
+    a forgotten factor without o holds h^k (k < 3, zero for degree reasons),
+    a tau pair ((p_1)_* tau = (p_1)_* Delta - (1/d)(p_1)_*(h^0 x h^3) =
+    1 - 1 = 0, validated against the tensor model in the test suite) or
+    nothing (zero for degree reasons).  Distinct survivors stay distinct, so
+    no terms merge.
     """
-    _require_homogeneous(a)
-    push = _forgetting(ring, forget)
-    return CycleClass._adopt({new: c for mon, c in a.terms.items()
-                              if (new := push(mon)) is not None})
+    return _push_pull(ring, forget)(a, ring.one())
 
 
-def _require_homogeneous(a: CycleClass) -> None:
-    if not a.is_homogeneous():
-        raise ValueError("pushforward requires a homogeneous class")
+def _push_pull(ring: TautRing, forget: set[int]) -> Callable[[CycleClass, CycleClass], CycleClass]:
+    """The kernel a, b -> p_*(a*b), p forgetting these factors of Y^m: the one pushforward.
 
-
-def _forgetting(ring: TautRing, forget: set[int]) -> Callable[[Monomial], Monomial | None]:
-    """The pushforward's rule: a monomial's image, or None unless every forgotten factor has o.
-
-    The forget set is checked and the renumbering built once.  Kept factors
-    go to 1..m-|forget| by the increasing map, which keeps index tuples sorted.
+    The forget set is checked and the renumbering built once.  Each term
+    pair is reduced with ``TautRing._reduce``, and its product monomial is
+    kept only when every forgotten factor carries o; the kept factors go to
+    1..m-|forget| by the increasing map, which keeps index tuples sorted and
+    is injective on survivors, so the sums are those of multiply and no
+    product class is built.
     """
     for t in forget:
         check_index(t, ring.p.m)
     keep = [i for i in range(1, ring.p.m + 1) if i not in forget]
     mapping = {i: n + 1 for n, i in enumerate(keep)}
-
-    def push(mon: Monomial) -> Monomial | None:
-        if not forget.issubset(mon.o):
-            return None
-        return _monomial([(mapping[i], mapping[j]) for i, j in mon.tau],
-                         [mapping[i] for i in mon.o if i not in forget],
-                         [(mapping[i], e) for i, e in mon.h])
-
-    return push
-
-
-def _push_pull(ring: TautRing, forget: set[int]) -> Callable[[CycleClass, CycleClass], CycleClass]:
-    """The kernel a, b -> p_*(a*b), p forgetting these factors of Y^m.
-
-    Equal, with coefficient types and errors, to ``pushforward_forget(ring,
-    ring.multiply(a, b), forget)``, but no product class is built: each term
-    pair's product monomial goes straight through the :func:`_forgetting`
-    rule, which is injective on survivors, so the sums are those of multiply.
-    """
-    push = _forgetting(ring, forget)
     reduce = ring._reduce
 
     def push_pull(a: CycleClass, b: CycleClass) -> CycleClass:
-        _require_homogeneous(a)
-        _require_homogeneous(b)
+        if not (a.is_homogeneous() and b.is_homogeneous()):
+            raise ValueError("pushforward requires a homogeneous class")
         out: dict[Monomial, Rational] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 factor, mon = reduce(m1, m2)
-                if mon is not None and (mon := push(mon)) is not None:
+                if mon is not None and forget.issubset(mon.o):
+                    mon = _monomial([(mapping[i], mapping[j]) for i, j in mon.tau],
+                                    [mapping[i] for i in mon.o if i not in forget],
+                                    [(mapping[i], e) for i, e in mon.h])
                     accumulate(out, mon, c1 * c2 if factor == 1 else c1 * c2 * factor)
         return CycleClass._adopt(out)
 

@@ -332,8 +332,11 @@ class TautRing:
         return CycleClass._adopt(out)
 
     def product(self, classes: Sequence[CycleClass]) -> CycleClass:
-        acc = self.one()
-        for x in classes:
+        """The product of the classes, folded from the first: n factors take n - 1 multiplies."""
+        if not classes:
+            return self.one()
+        acc = classes[0]
+        for x in classes[1:]:
             acc = self.multiply(acc, x)
         return acc
 
@@ -489,15 +492,16 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
     Different monomials may land on the same target (their terms merge).
     """
     out: dict[Monomial, Rational] = {}
+    get = mapping.get
     for mon, c in a.terms.items():
-        new = _monomial([_pair(mapping.get(i, i), mapping.get(j, j)) for i, j in mon.tau],
-                        [mapping.get(i, i) for i in mon.o],
-                        [(mapping.get(i, i), e) for i, e in mon.h])
-        idx = new.indices()
+        idx = [get(i, i) for i in mon.indices()]
         if len(set(idx)) != len(idx):
             raise ValueError("relabeling is not injective on the used indices")
         for i in idx:
             check_index(i, target.p.m)
+        new = _monomial([_pair(get(i, i), get(j, j)) for i, j in mon.tau],
+                        [get(i, i) for i in mon.o],
+                        [(get(i, i), e) for i, e in mon.h])
         accumulate(out, new, c)
     return CycleClass._adopt(out)
 

@@ -215,6 +215,40 @@ class TestMultiply:
             if not prod.is_zero():
                 assert prod.codim == m1.codim + m2.codim
 
+    def test_product_multiplies_one_factor_fewer_than_it_has(self, monkeypatch):
+        # the fold starts from the first factor, not from the unit
+        calls = []
+        multiply = TautRing.multiply
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return multiply(self, a, b)
+
+        monkeypatch.setattr(TautRing, "multiply", counted)
+        rng = random.Random(5)
+        r = ring(d=3, b=2, m=3)
+        for n in range(6):
+            factors = [random_class(r, rng) for _ in range(n)]
+            calls.clear()
+            r.product(factors)
+            assert len(calls) == max(n - 1, 0)
+
+    @pytest.mark.parametrize("params", [RingParams, PaperSigns])
+    def test_product_matches_the_unit_fold(self, params):
+        # equal classes with equal coefficient types, also for no factor and one
+        rng = random.Random(13)
+        r = TautRing(params(2, 1, 3))
+        scales = [1, -2, Fraction(1, 2), Fraction(-2, 3)]
+        for trial in range(100):
+            factors = [random_class(r, rng).scale(rng.choice(scales)) for _ in range(trial % 5)]
+            want = r.one()
+            for x in factors:
+                want = r.multiply(want, x)
+            got = r.product(factors)
+            assert got == want
+            assert {mon: type(c) for mon, c in got.terms.items()} == \
+                {mon: type(c) for mon, c in want.terms.items()}
+
 
 class TestIntegrate:
     def test_point_class(self):
@@ -425,6 +459,17 @@ class TestRelabel:
             relabel(r2.multiply(r2.h(1), r2.h(2)), {1: 2}, r2)
         with pytest.raises(ValueError):
             relabel(r2.multiply(r2.h(1), r2.o(2)), {1: 2}, r2)
+
+    def test_colliding_ends_of_a_pair_reported_as_not_injective(self):
+        # the mapped indices are checked before any pair is formed, so a tau
+        # whose ends collide fails like every other collision
+        r2, r3 = ring(m=2), ring(m=3)
+        cases = [(r2, r2.tau(1, 2), {1: 2}), (r2, r2.tau(1, 2), {2: 1}),
+                 (r3, r3.tau(1, 2), {1: 3, 2: 3}),
+                 (r3, r3.multiply(r3.tau(1, 2), r3.h(3)), {3: 2})]
+        for r, cls, mapping in cases:
+            with pytest.raises(ValueError, match="^relabeling is not injective on the used indices$"):
+                relabel(cls, mapping, r)
 
     def test_merged_terms_cancel_exactly(self):
         r = ring(m=2)
