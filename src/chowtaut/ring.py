@@ -199,13 +199,20 @@ def accumulate(out: dict, key, c: Rational) -> None:
     """Add c*key into a sparse term dict in place, dropping a coefficient that cancels.
 
     The one add-and-drop rule for every exact sum: cycle classes, tensor
-    classes and involution words all accumulate through it.
+    classes and involution words all accumulate through it.  A key not yet
+    in the dict stores c itself, or nothing when c == 0; a present key
+    takes the sum and is deleted when it cancels.
     """
-    s = out.get(key, 0) + c
+    s = out.get(key)
+    if s is None:
+        if c:
+            out[key] = c
+        return
+    s += c
     if s:
         out[key] = s
     else:
-        out.pop(key, None)
+        del out[key]
 
 
 def _pair(i: int, j: int) -> tuple[int, int]:

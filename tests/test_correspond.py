@@ -6,6 +6,7 @@ import pytest
 
 from chowtaut.correspond import (
     Correspondence,
+    MCKEntry,
     ProjectorSet,
     big_diagonal,
     ck_projectors,
@@ -33,6 +34,24 @@ from ring_reference import PaperSigns
 
 def params(d=2, b=1, m=2):
     return RingParams(d, b, m)
+
+
+def sabotaged_sets():
+    """CK projectors for (d, b) = (2, 1) with some pi^i replaced, as the sabotage tests use them.
+
+    In order: pi^0 scaled by 2; that and pi^3 = 2 tau; pi^2 + o_1 and
+    pi^3 scaled by 2; pi^1 = pi^5 = o_1.
+    """
+    p = params(d=2, b=1)
+    r = TautRing(p)
+    pi = ck_projectors(p).pi
+    swaps = [{0: pi[0].cls.scale(2)},
+             {0: pi[0].cls.scale(2), 3: r.tau(1, 2).scale(2)},
+             {2: pi[2].cls + r.o(1), 3: pi[3].cls.scale(2)},
+             {1: r.o(1), 5: r.o(1)}]
+    return [ProjectorSet(tuple(Correspondence(p, 1, 1, swap.get(i, f.cls))
+                               for i, f in enumerate(pi)))
+            for swap in swaps]
 
 
 class TestPushforward:
@@ -315,10 +334,7 @@ class TestVerifyCK:
         assert report.passed
 
     def test_sabotage_detected(self):
-        p = params(d=2, b=1)
-        ps = ck_projectors(p)
-        bad = type(ps)(pi=(Correspondence(p, 1, 1, ps.pi[0].cls.scale(2)),) + ps.pi[1:])
-        report = verify_ck(bad)
+        report = verify_ck(sabotaged_sets()[0])
         assert not report.passed
         idem0 = next(c for c in report.checks if c.name == "pi^0 o pi^0 = pi^0")
         assert not idem0.ok
@@ -333,11 +349,7 @@ class TestVerifyCK:
         assert report.passed
 
     def test_sabotage_matches_compose(self):
-        p = params(d=2, b=1)
-        pi = list(ck_projectors(p).pi)
-        pi[0] = Correspondence(p, 1, 1, pi[0].cls.scale(2))
-        pi[3] = Correspondence(p, 1, 1, TautRing(p).tau(1, 2).scale(2))
-        bad = ProjectorSet(tuple(pi))
+        bad = sabotaged_sets()[1]
         report = verify_ck(bad)
         residuals = ck_by_compose(bad)
         assert [c.residual for c in report.checks[:49]] == residuals
@@ -355,6 +367,22 @@ class TestVerifyCK:
             nonzero = sum(not f.is_zero() for f in ps.pi)
             assert len(calls) == nonzero ** 2 == 25, rec.label
             assert all(forget == {2} for forget in calls)
+
+    def test_residual_built_only_when_the_sides_differ(self, monkeypatch):
+        # a passing set subtracts nothing; pi^0 scaled by 2 subtracts for the
+        # checks that fail
+        subs = []
+        sub = CycleClass.__sub__
+
+        def counted(a, b):
+            subs.append((a, b))
+            return sub(a, b)
+
+        monkeypatch.setattr(CycleClass, "__sub__", counted)
+        assert verify_ck(ck_projectors(params(d=2, b=3))).passed
+        assert subs == []
+        report = verify_ck(sabotaged_sets()[0])
+        assert len(subs) == sum(not c.ok for c in report.checks) > 0
 
     def test_checks_do_not_go_through_compose(self, monkeypatch):
         def no_compose(*args):
@@ -437,13 +465,7 @@ class TestVerifyMCK:
 
     def test_sabotage_matches_small_diagonal_on_y6(self):
         # transposes are no longer pi^(6-i), and some entries with i + j != k survive
-        p = params(d=2, b=1)
-        ps = ck_projectors(p)
-        r = TautRing(p)
-        pi = list(ps.pi)
-        pi[2] = Correspondence(p, 1, 1, pi[2].cls + r.o(1))
-        pi[3] = Correspondence(p, 1, 1, pi[3].cls.scale(2))
-        bad = type(ps)(pi=tuple(pi))
+        bad = sabotaged_sets()[2]
         report = verify_mck(bad)
         assert [e.value for e in report.entries] == mck_on_y6(bad)
         assert not report.passed
@@ -451,11 +473,7 @@ class TestVerifyMCK:
     def test_odd_legs_match_small_diagonal_on_y6(self):
         # nonzero pi^1 and pi^5 make leg pairs that vanish for the CK projectors
         # nonzero, so those rows take the full path instead of stopping early
-        p = params(d=2, b=1)
-        ps = ck_projectors(p)
-        pi = list(ps.pi)
-        pi[1] = pi[5] = Correspondence(p, 1, 1, TautRing(p).o(1))
-        bad = ProjectorSet(tuple(pi))
+        bad = sabotaged_sets()[3]
         report = verify_mck(bad)
         assert [e.value for e in report.entries] == mck_on_y6(bad)
         assert not report.passed
@@ -486,6 +504,33 @@ class TestVerifyMCK:
         for bad in [(0, 0, 7), (-1, 0, 0)]:
             with pytest.raises(ValueError):
                 report.entry(*bad)
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("ps", [
+        *(ck_projectors(params(d=rec.degree, b=rec.h12)) for rec in load_catalog()),
+        *sabotaged_sets(),
+    ], ids=[*(rec.label for rec in load_catalog()), *(f"sabotaged{n}" for n in range(4))])
+    def test_verdicts_keep_their_meaning(self, ps):
+        mck = verify_mck(ps)
+        assert [(e.i, e.j, e.k) for e in mck.entries] == \
+            list(itertools.product(range(7), repeat=3))
+        assert all(type(e) is MCKEntry for e in mck.entries)
+        assert [e.ok for e in mck.entries] == \
+            [e.exempt or e.value.is_zero() for e in mck.entries]
+        assert mck.passed == (bool(mck.entries) and
+                              all(e.exempt or e.value.is_zero() for e in mck.entries))
+        ck = verify_ck(ps)
+        assert [c.ok for c in ck.checks] == [c.residual == "0" for c in ck.checks]
+        assert ck.passed == (bool(ck.checks) and all(c.residual == "0" for c in ck.checks))
+
+    def test_pi0_scaled_by_two_passes_mck_and_fails_ck(self):
+        # every nonzero entry is exempt, so only the CK verdict sees the sabotage
+        ps = sabotaged_sets()[0]
+        mck = verify_mck(ps)
+        nonzero = [e for e in mck.entries if not e.value.is_zero()]
+        assert len(nonzero) == 13 and all(e.exempt for e in nonzero)
+        assert mck.passed and not verify_ck(ps).passed
 
 
 class TestInvolution:

@@ -13,6 +13,7 @@ from chowtaut.ring import (
     Monomial,
     RingParams,
     TautRing,
+    accumulate,
     perfect_matchings,
     relabel,
 )
@@ -157,6 +158,31 @@ def test_engine_sums_keep_integral_coefficients_int():
     for d, b in [(1, 0), (2, 1), (3, 5)]:
         for e in verify_mck(ck_projectors(RingParams(d, b, 2))).entries:
             assert_exact(e.value)
+
+
+class TestAccumulate:
+    @pytest.mark.parametrize("c", [10 ** 30, Fraction(7, 3), Fraction(4, 2)],
+                             ids=["int", "fraction", "integral-fraction"])
+    def test_new_key_stores_c_itself(self, c):
+        out = {"x": 1}
+        accumulate(out, "y", c)
+        assert out == {"x": 1, "y": c} and out["y"] is c
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_zero_on_absent_key_stores_nothing(self, zero):
+        out = {"x": 1}
+        accumulate(out, "y", zero)
+        assert out == {"x": 1}
+
+    def test_present_key_adds_and_is_deleted_when_the_sum_cancels(self):
+        out = {"x": Fraction(1, 2)}
+        accumulate(out, "x", Fraction(1, 3))
+        assert out == {"x": Fraction(5, 6)}
+        accumulate(out, "x", Fraction(-5, 6))
+        assert out == {}
+        out = {"x": 3}
+        accumulate(out, "x", 0)
+        assert out == {"x": 3} and type(out["x"]) is int
 
 
 class TestMultiply:
