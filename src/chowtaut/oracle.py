@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Frozen, Rational, SparseRowBasis, exact, require_ints
 from .ring import (Monomial, _pair, accumulate, check_codim, check_index, perfect_matchings,
@@ -172,43 +172,48 @@ def tensor_unit(model: CohomologyModel, m: int) -> TensorClass:
     return TensorClass(model, m, {(E0,) * m: 1})
 
 
-def _multiply_into(out: dict[tuple[int, ...], Rational], x_terms: dict, y_terms: dict,
+def _multiply_into(out: dict[tuple[int, ...], Rational], x_terms: dict, y_items: Iterable,
                    table: tuple) -> dict[tuple[int, ...], Rational]:
     """Add the Koszul-signed products of the terms of x and y into out, and return it.
 
-    E0 is the unit of the product table, so a pair (u, v) starts from v and
+    x is a term dict, y an iterable of (key, coefficient) pairs read once.  E0
+    is the unit of the product table, so a pair (u, v) starts from v and
     multiplies in only the support of u (its slots other than E0): pass the
     factor of small support, such as a generator, first.  Only parities enter
-    the sign, and the odd basis elements are the ids >= 4: bit i of the prefix
-    mask of v is set when an odd number of v's odd ids come before slot i, and
-    each odd u_i flips the sign once if its bit is set.  Supports, odd masks
-    and prefix masks are formed once per term, not once per pair.  A key whose
-    coefficient cancels is dropped from out, also one that out held before.
+    the sign, and the odd ids are those >= 4: bit i of v's prefix mask is set
+    when an odd number of v's odd ids come before slot i, and each odd u_i
+    flips the sign once if its bit is set.  x's terms carry their support's
+    table rows, grouped by support and odd mask, so each v forms its mask once
+    and its key list and sign once per group.  A key whose coefficient cancels
+    is dropped from out, also one that out held before.
     """
-    xs = []
+    groups: dict[tuple[int, int], list] = {}
     for u, cu in x_terms.items():
-        support, odd_u = [], 0
+        support, slots, odd_u = [], 0, 0
         for i, ui in enumerate(u):
             if ui != E0:
-                support.append((i, ui))
+                support.append((i, table[ui]))
+                slots |= 1 << i
                 odd_u |= (ui >= 4) << i
-        xs.append((cu, support, odd_u))
-    for v, cv in y_terms.items():
+        groups.setdefault((slots, odd_u), []).append((cu, support))
+    for v, cv in y_items:
         prefix = odd = 0
         for i, vi in enumerate(v):
             prefix |= odd << i
             odd ^= vi >= 4
-        for cu, support, odd_u in xs:
-            coeff = cu * cv
+        for (_, odd_u), group in groups.items():
             key = list(v)
-            for i, ui in support:
-                prod = table[ui][v[i]]
-                if prod is None:
-                    break
-                coeff *= prod[0]
-                key[i] = prod[1]
-            else:
-                accumulate(out, tuple(key), -coeff if (odd_u & prefix).bit_count() & 1 else coeff)
+            cs = -cv if (odd_u & prefix).bit_count() & 1 else cv
+            for cu, support in group:
+                coeff = cu * cs
+                for i, row in support:
+                    prod = row[v[i]]
+                    if prod is None:
+                        break
+                    coeff *= prod[0]
+                    key[i] = prod[1]
+                else:
+                    accumulate(out, tuple(key), coeff)
     return out
 
 
@@ -219,7 +224,7 @@ def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
     terms, so pass the factor of small support first.
     """
     x._check_compatible(y)
-    return TensorClass(x.model, x.m, _multiply_into({}, x.terms, y.terms, x.model.table))
+    return TensorClass(x.model, x.m, _multiply_into({}, x.terms, y.terms.items(), x.model.table))
 
 
 def tensor_integrate(x: TensorClass) -> Rational:
@@ -245,16 +250,12 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
     check_index(gen[2], m)
     i, j = _pair(gen[1], gen[2])
     terms: dict[tuple[int, ...], Rational] = {}
-    n = 2 * model.b
-    for k in range(n):
-        for l in range(n):
-            c = model.omega_inv[k][l]
-            if not c:
-                continue
-            key = [E0] * m
-            key[i - 1] = 4 + k
-            key[j - 1] = 4 + l
-            terms[tuple(key)] = c
+    for k, row in enumerate(model.omega_inv):
+        for l, c in enumerate(row):
+            if c:
+                key = [E0] * m
+                key[i - 1], key[j - 1] = 4 + k, 4 + l
+                terms[tuple(key)] = c
     return TensorClass(model, m, terms)
 
 
@@ -293,31 +294,30 @@ def _sign(lhs: TensorClass, rhs: TensorClass, message: str) -> int:
 def tau_matching_sum(model: CohomologyModel, slots: tuple[int, ...], m: int) -> TensorClass:
     """Sum over the perfect matchings M of slots of prod_{(i,j) in M} tau_{i,j}, on Y^m.
 
-    Expanded along the first slot, as a hafnian is:
-    S(i, rest) = sum_j tau_{i,j} * S(rest without j), and S() = 1.  This is
-    distributivity only.  Each tau has even degree, so the factors commute and
-    no sign is added here; the Koszul signs stay inside the product kernel.
-    Each level sums its products tau_{i,j} * S(rest without j) straight into
-    one term dict, the sub-sums stay plain dicts, and one TensorClass is
-    built at the end.
+    Built in n/2 levels, n = len(slots), each from the one before only: the sum
+    S_k over the matchings of 1..k on Y^k is sum_{j=2..k} tau_{1,j} * pad_j(S_{k-2}),
+    a hafnian's first-slot expansion with S_0 = 1, where pad_j inserts E0 at
+    slots 1 and j of every key and is streamed into the kernel.  E0 is even of
+    degree 0, so padding changes neither a Koszul sign nor the order of the odd
+    factors; the same holds for placing S_n at sorted(slots) of Y^m.  Each tau
+    is even, so the factors commute and the Koszul signs stay in the kernel.
     An odd number of slots, or a repeated slot, has no perfect matching and
     raises ValueError rather than returning an empty sum.
     """
     if len(slots) % 2 or len(set(slots)) != len(slots):
         raise ValueError(f"slots {slots} admit no perfect matching")
-    table = model.table
-
-    def expand(slots: tuple[int, ...]) -> dict[tuple[int, ...], Rational]:
-        if not slots:
-            return tensor_unit(model, m).terms
-        first, rest = slots[0], slots[1:]
-        total: dict[tuple[int, ...], Rational] = {}
-        for k, j in enumerate(rest):
-            _multiply_into(total, realize(("tau", first, j), model, m).terms,
-                           expand(rest[:k] + rest[k + 1:]), table)
-        return total
-
-    return TensorClass(model, m, expand(slots))
+    for s in slots:
+        check_index(s, m)
+    level: dict[tuple[int, ...], Rational] = {(): 1}
+    for k in range(2, len(slots) + 1, 2):
+        prev, level = level, {}
+        for j in range(2, k + 1):
+            pad = (((E0,) + v[:j - 2] + (E0,) + v[j - 2:], c) for v, c in prev.items())
+            _multiply_into(level, realize(("tau", 1, j), model, k).terms, pad, model.table)
+    # slot t of Y^m takes position pos[t - 1] of a key of S_n with E0 appended
+    pos = [sorted(slots).index(t) if t in slots else len(slots) for t in range(1, m + 1)]
+    return TensorClass(model, m, {tuple(map((v + (E0,)).__getitem__, pos)): c
+                                  for v, c in level.items()})
 
 
 def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:

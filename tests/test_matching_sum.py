@@ -1,4 +1,4 @@
-"""The first-slot expansion of the tau matching sum against the sum matching by matching."""
+"""The chained tau matching sum against the first-slot recursion and matching by matching."""
 
 import random
 
@@ -8,12 +8,29 @@ from chowtaut import oracle
 from chowtaut.oracle import (
     CohomologyModel,
     TensorClass,
+    _multiply_into,
     realize,
     tau_matching_sum,
     tensor_multiply,
     tensor_unit,
 )
 from chowtaut.ring import accumulate, perfect_matchings
+
+
+def first_slot_recursion(model, slots, m):
+    """Reference: S(i, rest) = sum_j tau_{i,j} * S(rest without j) on Y^m, S() = 1,
+    each sub-sum expanded afresh in the slots' own order."""
+    def expand(slots):
+        if not slots:
+            return tensor_unit(model, m).terms
+        first, rest = slots[0], slots[1:]
+        total = {}
+        for k, j in enumerate(rest):
+            _multiply_into(total, realize(("tau", first, j), model, m).terms,
+                           expand(rest[:k] + rest[k + 1:]).items(), model.table)
+        return total
+
+    return TensorClass(model, m, expand(tuple(slots)))
 
 
 def matching_by_matching(model, slots, m, negate_first=False):
@@ -53,6 +70,76 @@ def test_expansion_equals_matching_by_matching(b):
         for slots in slot_tuples(b):
             assert tau_matching_sum(model, slots, m).terms == \
                 matching_by_matching(model, slots, m).terms, slots
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_chain_equals_first_slot_recursion(b):
+    # the recursion reaches the random basis at b = 3 in about a second
+    m = 2 * b + 2
+    for model in models(b):
+        for slots in slot_tuples(b):
+            assert tau_matching_sum(model, slots, m).terms == \
+                first_slot_recursion(model, slots, m).terms, slots
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("slots, m", [((3, 1, 6, 2), 7), ((6, 2), 7), ((2, 7, 5, 4, 1, 3), 8)])
+def test_unsorted_slots_equal_sorted(b, slots, m):
+    for model in models(b):
+        got = tau_matching_sum(model, slots, m)
+        assert got.terms == tau_matching_sum(model, tuple(sorted(slots)), m).terms
+        assert got.terms == first_slot_recursion(model, slots, m).terms
+        assert got.is_zero() == (len(slots) >= 2 * b + 2)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("slots, m", [((2, 5), 6), ((1, 3, 4, 7), 9), ((2, 4, 5, 6, 8, 9), 10)])
+def test_noncontiguous_slots_on_a_larger_power(b, slots, m):
+    # the sum lives on the given slots: every other slot of every key is E0
+    for model in models(b):
+        got = tau_matching_sum(model, slots, m)
+        assert got.terms == first_slot_recursion(model, slots, m).terms
+        assert got.is_zero() == (len(slots) >= 2 * b + 2)
+        assert all(key[t - 1] == oracle.E0 for key in got.terms
+                   for t in range(1, m + 1) if t not in slots)
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+def test_chain_makes_n_over_2_squared_kernel_calls(n, monkeypatch):
+    # level k of the chain makes k - 1 products, so (n/2)^2 in all; re-expanding
+    # each sub-sum, as the recursion does, makes 252 at n = 8
+    calls = []
+
+    def counting(out, x_terms, y_items, table):
+        calls.append(None)
+        return _multiply_into(out, x_terms, y_items, table)
+
+    model = CohomologyModel(2, 1)
+    want = first_slot_recursion(model, tuple(range(1, n + 1)), n + 1)
+    monkeypatch.setattr(oracle, "_multiply_into", counting)
+    assert tau_matching_sum(model, tuple(range(1, n + 1)), n + 1) == want
+    assert len(calls) == (n // 2) ** 2
+
+
+def test_chain_term_pairs_at_b3(monkeypatch):
+    # 16 products of a 6-term tau with the padded level below: 32,514 term
+    # pairs, where the recursion forms 49,770
+    pairs = []
+
+    def counting(out, x_terms, y_items, table):
+        y_items = list(y_items)
+        pairs.append(len(x_terms) * len(y_items))
+        return _multiply_into(out, x_terms, y_items, table)
+
+    monkeypatch.setattr(oracle, "_multiply_into", counting)
+    assert tau_matching_sum(CohomologyModel(2, 3), tuple(range(1, 9)), 8).is_zero()
+    assert (len(pairs), sum(pairs)) == (16, 32514)
+
+
+@pytest.mark.parametrize("slots, m, bad", [((0, 1), 3, 0), ((1, 4), 3, 4), ((2, 1, 5, 3), 4, 5)])
+def test_slot_out_of_range_rejected(slots, m, bad):
+    with pytest.raises(ValueError, match=rf"^factor index {bad} out of range 1\.\.{m}$"):
+        tau_matching_sum(CohomologyModel(2, 1), slots, m)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])

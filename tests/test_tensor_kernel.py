@@ -84,7 +84,7 @@ def test_kernel_accumulates_into_given_dict(triple, start):
     for key, c in xy.terms.items():
         accumulate(want, key, c)
     out = dict(z.terms)
-    assert _multiply_into(out, x.terms, y.terms, x.model.table) is out
+    assert _multiply_into(out, x.terms, y.terms.items(), x.model.table) is out
     assert out == want
     if start == "-xy":
         assert out == {}
