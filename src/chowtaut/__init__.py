@@ -9,7 +9,6 @@ from .correspond import (  # noqa: F401
     ProjectorSet,
     ck_projectors,
     involution_check,
-    small_diagonal,
     verify_ck,
     verify_mck,
 )

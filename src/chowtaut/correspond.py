@@ -32,20 +32,26 @@ def pushforward_forget(ring: TautRing, a: CycleClass, forget: set[int]) -> Cycle
     a tau pair ((p_1)_* tau = (p_1)_* Delta - (1/d)(p_1)_*(h^0 x h^3) =
     1 - 1 = 0, validated against the tensor model in the test suite) or
     nothing (zero for degree reasons).  Distinct survivors stay distinct, so
-    no terms merge.
+    no terms merge.  It is the reference for the kernel (``TestPushPull``,
+    tests/test_correspond.py) and the push-forward of compose and apply;
+    bench/tracing.py wraps it.
     """
-    return _push_pull(ring, forget)(a, ring.one())
+    push_pull = _push_pull(ring, forget)
+    if not a.is_homogeneous():
+        raise ValueError("pushforward requires a homogeneous class")
+    return push_pull(a, ring.one())
 
 
 def _push_pull(ring: TautRing, forget: set[int]) -> Callable[[CycleClass, CycleClass], CycleClass]:
     """The kernel a, b -> p_*(a*b), p forgetting these factors of Y^m: the one pushforward.
 
-    The forget set is checked and the renumbering built once.  Each term
-    pair is reduced with ``TautRing._reduce``, and its product monomial is
-    kept only when every forgotten factor carries o; the kept factors go to
-    1..m-|forget| by the increasing map, which keeps index tuples sorted and
-    is injective on survivors, so the sums are those of multiply and no
-    product class is built.
+    The forget set is checked and the renumbering built once; a and b are not
+    checked, and must be homogeneous, as Correspondence classes and their
+    products are.  Each term pair is reduced with ``TautRing._reduce``, and its
+    product monomial is kept only when every forgotten factor carries o; the
+    kept factors go to 1..m-|forget| by the increasing map, which keeps index
+    tuples sorted and is injective on survivors, so the sums are those of
+    multiply and no product class is built.
     """
     for t in forget:
         check_index(t, ring.p.m)
@@ -54,8 +60,6 @@ def _push_pull(ring: TautRing, forget: set[int]) -> Callable[[CycleClass, CycleC
     reduce = ring._reduce
 
     def push_pull(a: CycleClass, b: CycleClass) -> CycleClass:
-        if not (a.is_homogeneous() and b.is_homogeneous()):
-            raise ValueError("pushforward requires a homogeneous class")
         out: dict[Monomial, Rational] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
@@ -120,7 +124,10 @@ class Correspondence(Frozen):
             raise ValueError(f"cannot {op} correspondences on different Y: {p!r} and {q!r}")
 
     def compose(self, g: "Correspondence") -> "Correspondence":
-        """self : Y^a -> Y^b followed by g : Y^b -> Y^c (i.e. g o self)."""
+        """self : Y^a -> Y^b followed by g : Y^b -> Y^c (i.e. g o self).
+
+        Reference for verify_ck (``ck_by_compose``); bench/tracing.py wraps it.
+        """
         self._check_same_y(g, "compose")
         if g.r != self.s:
             raise ValueError(f"arity mismatch: cannot compose {self.s} -> {g.r}")
@@ -133,7 +140,10 @@ class Correspondence(Frozen):
         return Correspondence(ring_ac.p, a, c, pushed)
 
     def tensor(self, g: "Correspondence") -> "Correspondence":
-        """Product correspondence Y^(r1+r2) -> Y^(s1+s2)."""
+        """Product correspondence Y^(r1+r2) -> Y^(s1+s2).
+
+        Reference for verify_mck (``mck_on_y6``); bench/tracing.py wraps it.
+        """
         self._check_same_y(g, "tensor")
         r, s = self.r + g.r, self.s + g.s
         big = TautRing(self.params).with_m(r + s)
@@ -147,17 +157,12 @@ class Correspondence(Frozen):
         """Action on a cycle class of Y^r: pull up, multiply, push to the target.
 
         Y^r is the first r factors of Y^(r+s), so x is pulled up as it is.
+        Reference for verify_mck (``mck_on_y6``); bench/tracing.py wraps it.
         """
         _check_lives_on(x, self.r, "argument of apply")
         ring = self.ring
         prod = ring.multiply(x, self.cls)
         return pushforward_forget(ring, prod, set(range(1, self.r + 1)))
-
-
-def identity_correspondence(p: RingParams) -> Correspondence:
-    """The diagonal of Y as a correspondence Y -> Y."""
-    ring = TautRing(p).with_m(2)
-    return Correspondence(ring.p, 1, 1, big_diagonal(ring, 1, 2))
 
 
 def big_diagonal(ring: TautRing, i: int, j: int) -> CycleClass:
@@ -272,13 +277,6 @@ def verify_ck(ps: ProjectorSet) -> CKReport:
 
 
 # -- multiplicativity --------------------------------------------------------
-
-
-def small_diagonal(ring: TautRing) -> CycleClass:
-    """[Delta^sm] on Y^3, represented as Delta_{1,3} * Delta_{2,3}."""
-    if ring.p.m != 3:
-        raise ValueError("the small diagonal lives on Y^3")
-    return ring.multiply(big_diagonal(ring, 1, 3), big_diagonal(ring, 2, 3))
 
 
 class MCKEntry(NamedTuple):

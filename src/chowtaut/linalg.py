@@ -117,9 +117,6 @@ class SparseRowBasis:
             row = new
         return row
 
-    def contains(self, vec: dict) -> bool:
-        return not self.residual(vec)
-
     def add(self, vec: dict) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         row = self.residual(vec)

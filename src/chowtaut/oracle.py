@@ -227,11 +227,6 @@ def tensor_multiply(x: TensorClass, y: TensorClass) -> TensorClass:
     return TensorClass(x.model, x.m, _multiply_into({}, x.terms, y.terms.items(), x.model.table))
 
 
-def tensor_integrate(x: TensorClass) -> Rational:
-    """Coefficient of the full point class e6 (x) ... (x) e6."""
-    return x.terms.get((E6,) * x.m, 0)
-
-
 def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
     """Realize a ring generator ('h', i), ('o', i) or ('tau', i, j) as a tensor.
 
@@ -291,33 +286,27 @@ def _sign(lhs: TensorClass, rhs: TensorClass, message: str) -> int:
     raise ValueError(message)
 
 
-def tau_matching_sum(model: CohomologyModel, slots: tuple[int, ...], m: int) -> TensorClass:
-    """Sum over the perfect matchings M of slots of prod_{(i,j) in M} tau_{i,j}, on Y^m.
+def tau_matching_sum(model: CohomologyModel, n: int) -> TensorClass:
+    """Sum over the perfect matchings M of 1..n of prod_{(i,j) in M} tau_{i,j}, on Y^n.
 
-    Built in n/2 levels, n = len(slots), each from the one before only: the sum
-    S_k over the matchings of 1..k on Y^k is sum_{j=2..k} tau_{1,j} * pad_j(S_{k-2}),
-    a hafnian's first-slot expansion with S_0 = 1, where pad_j inserts E0 at
+    Built in n/2 levels, each from the one before only: the sum S_k over the
+    matchings of 1..k on Y^k is sum_{j=2..k} tau_{1,j} * pad_j(S_{k-2}), a
+    hafnian's first-slot expansion with S_0 = 1, where pad_j inserts E0 at
     slots 1 and j of every key and is streamed into the kernel.  E0 is even of
     degree 0, so padding changes neither a Koszul sign nor the order of the odd
-    factors; the same holds for placing S_n at sorted(slots) of Y^m.  Each tau
-    is even, so the factors commute and the Koszul signs stay in the kernel.
-    An odd number of slots, or a repeated slot, has no perfect matching and
+    factors.  Each tau is even, so the factors commute and the Koszul signs
+    stay in the kernel.  An odd or negative n has no perfect matching and
     raises ValueError rather than returning an empty sum.
     """
-    if len(slots) % 2 or len(set(slots)) != len(slots):
-        raise ValueError(f"slots {slots} admit no perfect matching")
-    for s in slots:
-        check_index(s, m)
+    if n < 0 or n % 2:
+        raise ValueError(f"{n} slots admit no perfect matching")
     level: dict[tuple[int, ...], Rational] = {(): 1}
-    for k in range(2, len(slots) + 1, 2):
+    for k in range(2, n + 1, 2):
         prev, level = level, {}
         for j in range(2, k + 1):
             pad = (((E0,) + v[:j - 2] + (E0,) + v[j - 2:], c) for v, c in prev.items())
             _multiply_into(level, realize(("tau", 1, j), model, k).terms, pad, model.table)
-    # slot t of Y^m takes position pos[t - 1] of a key of S_n with E0 appended
-    pos = [sorted(slots).index(t) if t in slots else len(slots) for t in range(1, m + 1)]
-    return TensorClass(model, m, {tuple(map((v + (E0,)).__getitem__, pos)): c
-                                  for v, c in level.items()})
+    return TensorClass(model, n, level)
 
 
 def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
@@ -342,8 +331,7 @@ def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
     rhs = tensor_multiply(realize(("tau", 2, 3), model, 3), realize(("o", 1), model, 3))
     eps3 = _sign(lhs, rhs, "tau_{1,2} tau_{1,3} is not proportional to tau_{2,3} o_1")
     # symmetrized vanishing on Y^(2b+2)
-    n = 2 * model.b + 2
-    sym_ok = tau_matching_sum(model, tuple(range(1, n + 1)), n).is_zero()
+    sym_ok = tau_matching_sum(model, 2 * model.b + 2).is_zero()
     span = SubalgebraSpan(model, 2)
     dims = tuple((c, span.dimension(c)) for c in range(7))
     return AdjudicationReport(model.b, eps2, eps3, sym_ok, dims)

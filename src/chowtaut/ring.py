@@ -316,16 +316,6 @@ class TautRing:
             return 0, None
         return coeff, _monomial([(i, j) for i, j in mate.items() if i < j], o, h.items())
 
-    def normal_form(self, raw: Iterable[Gen], coeff: Rational = 1) -> CycleClass:
-        """Normal form of a single product of generators times a coefficient."""
-        makers = {"h": self.h, "o": self.o, "tau": self.tau}
-        factors = []
-        for g in raw:
-            if g[0] not in makers:
-                raise ValueError(f"unknown generator kind {g!r}")
-            factors.append(makers[g[0]](*g[1:]))
-        return self.product(factors).scale(coeff)
-
     # -- ring operations -----------------------------------------------
 
     def multiply(self, a: CycleClass, b: CycleClass) -> CycleClass:
@@ -365,15 +355,6 @@ class TautRing:
                 acc = acc + xk.scale(math.comb(n, k) * c ** (n - k))
         return acc
 
-    def integrate(self, a: CycleClass) -> Rational:
-        """Degree map: coefficient of o_1*...*o_m in top codimension, else 0."""
-        if not a.is_homogeneous():
-            raise ValueError("integrate requires a homogeneous class")
-        if a.is_zero() or a.codim != 3 * self.p.m:
-            return 0
-        point = Monomial(o=tuple(range(1, self.p.m + 1)))
-        return a.coefficient(point)
-
     # -- symmetrization relators ----------------------------------------
 
     def sym_relator(self, indices: Sequence[int]) -> CycleClass:
@@ -383,6 +364,8 @@ class TautRing:
         prod_i tau_{sigma(2i-1),sigma(2i)}, i.e. 2^(b+1) (b+1)! times the
         sum over perfect matchings.  This class is declared to vanish in
         the quotient.
+
+        Reference (``TestSymRelator``, tests/test_ring.py); bench/tracing.py wraps it.
         """
         n = 2 * self.p.b + 2
         S = sorted(set(indices))
@@ -405,7 +388,9 @@ class TautRing:
         """All normal-form monomials of codimension c, in canonical order.
 
         A monomial is a perfect matching of its even-size tau support times a
-        weight in {0,1,2,3} on each other factor (3 encodes the o flag).
+        weight in {0,1,2,3} on each other factor (3 encodes the o flag).  With
+        :meth:`relator_vectors` it is the reference of ``brute_dimension``
+        (tests/test_dims_factored.py); bench/tracing.py wraps it.
         """
         m = self.p.m
         check_codim(c, m)
@@ -423,7 +408,10 @@ class TautRing:
         return out
 
     def relator_vectors(self, c: int) -> list[dict[Monomial, Rational]]:
-        """All nf(relator * monomial) of codimension c, as coefficient dicts."""
+        """All nf(relator * monomial) of codimension c, as coefficient dicts.
+
+        Reference of ``brute_dimension``, as :meth:`graded_basis`; bench/tracing.py wraps it.
+        """
         rc = 3 * (self.p.b + 1)
         if c < rc:
             return []

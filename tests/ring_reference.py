@@ -1,8 +1,14 @@
-"""The rewrite rules applied one at a time in a random order, and the paper's sign, for the tests.
+"""The rewrite rules applied one at a time in a random order, the paper's sign, and
+the ring helpers that only the tests use.
 
-``reduce_with_order`` is the reference for :meth:`chowtaut.ring.TautRing.normal_form`
-(and so for ``multiply``): it must give the same normal form whatever order of
+``reduce_with_order`` is the reference for :func:`normal_form` (and so for
+``TautRing.multiply``): it must give the same normal form whatever order of
 rule applications ``rng`` picks, which tests confluence of the rewriting system.
+
+``normal_form`` (a generator word through ``TautRing.product``), ``integrate``
+(the degree map) and ``small_diagonal`` (Delta^sm on Y^3) build test inputs and
+read test outputs; no command needs them, so they live here and not in
+``chowtaut``.
 
 ``PaperSigns`` is the ring data with tau^2 = +2b o o, the sign the source
 presentation prints; the tests use it as the witness that this sign collapses
@@ -14,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from chowtaut.linalg import Rational, exact
+from chowtaut.correspond import big_diagonal
 from chowtaut.ring import CycleClass, Gen, Monomial, RingParams, TautRing, _pair
 
 
@@ -23,11 +30,38 @@ class PaperSigns(RingParams):
     eps2 = 1
 
 
+def normal_form(ring: TautRing, raw: Iterable[Gen], coeff: Rational = 1) -> CycleClass:
+    """Normal form of a single product of generators times a coefficient."""
+    makers = {"h": ring.h, "o": ring.o, "tau": ring.tau}
+    factors = []
+    for g in raw:
+        if g[0] not in makers:
+            raise ValueError(f"unknown generator kind {g!r}")
+        factors.append(makers[g[0]](*g[1:]))
+    return ring.product(factors).scale(coeff)
+
+
+def integrate(ring: TautRing, a: CycleClass) -> Rational:
+    """Degree map: coefficient of o_1*...*o_m in top codimension, else 0."""
+    if not a.is_homogeneous():
+        raise ValueError("integrate requires a homogeneous class")
+    if a.is_zero() or a.codim != 3 * ring.p.m:
+        return 0
+    return a.coefficient(Monomial(o=tuple(range(1, ring.p.m + 1))))
+
+
+def small_diagonal(ring: TautRing) -> CycleClass:
+    """[Delta^sm] on Y^3, represented as Delta_{1,3} * Delta_{2,3}."""
+    if ring.p.m != 3:
+        raise ValueError("the small diagonal lives on Y^3")
+    return ring.multiply(big_diagonal(ring, 1, 3), big_diagonal(ring, 2, 3))
+
+
 def reduce_with_order(ring: TautRing, raw: Iterable[Gen], rng,
                       coeff: Rational = 1) -> CycleClass:
     """Apply the rewrite rules one at a time in an order chosen by rng.
 
-    Semantically identical to :meth:`TautRing.normal_form`; used to test
+    Semantically identical to :func:`normal_form`; used to test
     confluence of the rewriting system.
     """
     p = ring.p

@@ -55,4 +55,4 @@ class AllProductsSpan:
     def contains(self, x, c):
         self.bases[0][0]._check_compatible(x)
         self.basis(c)
-        return self.reducers[c].contains(x.terms)
+        return not self.reducers[c].residual(x.terms)
