@@ -108,7 +108,7 @@ def cmd_verify_mck(args) -> int:
     ps, cert, ck_passed = _ck_certificate(args)
     mck = verify_mck(ps)
     cert["mck"] = [[e.i, e.j, e.k, e.value.is_zero()] for e in mck.entries]
-    cert["involution"] = involution_check()
+    cert["involution"] = involution_check(ps)
     return _emit(cert, ck_passed and mck.passed and cert["involution"])
 
 

@@ -5,8 +5,8 @@ factors 1..r and target factors r+1..r+s.  Composition pulls both classes
 to the common product, multiplies, and pushes forward by forgetting the
 middle factors (Lieberman push-pull).  On this calculus we build the seven
 candidate Chow-Kuenneth projectors of Y x Y and the multiplicativity check
-against the small diagonal, plus the formal covering-involution
-cancellation argument.
+against the small diagonal, plus the identities of the covering involution
+G = pi^0 + pi^2 + pi^4 + pi^6 - pi^3 of a double cover.
 """
 
 from __future__ import annotations
@@ -104,18 +104,11 @@ class Correspondence(Frozen):
             raise ValueError("correspondence class must be homogeneous")
         self._set(params, r, s, cls)
 
-    @property
-    def ring(self) -> TautRing:
-        return TautRing(self.params)
-
-    def is_zero(self) -> bool:
-        return self.cls.is_zero()
-
     def transpose(self) -> "Correspondence":
         mapping = {i: self.s + i for i in range(1, self.r + 1)}
         mapping.update({self.r + j: j for j in range(1, self.s + 1)})
         return Correspondence(self.params, self.s, self.r,
-                              relabel(self.cls, mapping, self.ring))
+                              relabel(self.cls, mapping, TautRing(self.params)))
 
     def _check_same_y(self, g: "Correspondence", op: str) -> None:
         """Raise ValueError unless g has the same (d, b) and parameter class (so signs)."""
@@ -160,7 +153,7 @@ class Correspondence(Frozen):
         Reference for verify_mck (``mck_on_y6``); bench/tracing.py wraps it.
         """
         _check_lives_on(x, self.r, "argument of apply")
-        ring = self.ring
+        ring = TautRing(self.params)
         prod = ring.multiply(x, self.cls)
         return pushforward_forget(ring, prod, set(range(1, self.r + 1)))
 
@@ -345,41 +338,28 @@ def verify_mck(ps: ProjectorSet) -> MCKReport:
     return MCKReport(tuple(entries))
 
 
-# -- covering-involution words ------------------------------------------------
-
-# A symbol (g1, g2, g3) stands for (g1 x g2 x g3)_* Delta^sm with g in
-# {id, iota}; True marks iota.  Reparametrizing the small diagonal gives
-# (g1, g2, g3) ~ (iota g1, iota g2, iota g3); for mixed symbols this merge
-# is built into the canonical form, while for the two pure symbols it is
-# exactly the identification (iota,iota,iota)_* Delta^sm = Delta^sm, kept
-# behind a flag so its effect can be isolated.
-
-Symbol = tuple[bool, bool, bool]
+# -- covering involution -----------------------------------------------------
 
 
-def _canonical(sym: Symbol, identify_triple: bool) -> Symbol:
-    comp = tuple(not g for g in sym)
-    if len(set(sym)) == 1:  # pure: (id,id,id) or (iota,iota,iota)
-        return (False, False, False) if identify_triple else sym
-    return min(sym, comp)  # type: ignore[return-value]
+def involution_check(ps: ProjectorSet) -> bool:
+    """Check the covering-involution identities on G = pi^0 + pi^2 + pi^4 + pi^6 - pi^3.
 
-
-def involution_expansion(sign: int = -1, identify_triple: bool = True) -> dict[Symbol, Fraction]:
-    """Expand (1/8)(Delta + sign*G) o Delta^sm o ((Delta + sign*G) x (Delta + sign*G)).
-
-    G is the graph of the covering involution; sign=-1 is the projector onto
-    the anti-invariant motive.  Lieberman's lemma turns the expansion into
-    the eight signed symbols (g1, g2, g3) * Delta^sm, summed here in canonical
-    form; the empty dict is the zero word.
+    True iff G o G = Delta, t(G) = G and p_*(G_{1,2} G_{1,3} G_{1,4}) =
+    p_*(Delta_{1,2} Delta_{1,3} Delta_{1,4}), p forgetting factor 1; the last
+    is (G x G x G)_* Delta^sm = Delta^sm.  The anti-invariant part
+    (Delta - G)/2 is then pi^3, and its triple through the small diagonal is
+    MCK entry (3, 3, 3), which verify_mck asserts.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    word: dict[Symbol, Fraction] = {}
-    for sym in itertools.product((False, True), repeat=3):
-        accumulate(word, _canonical(sym, identify_triple), Fraction(sign ** sum(sym), 8))
-    return word
+    ring2 = TautRing(ps.params)
+    ring3, ring4 = ring2.with_m(3), ring2.with_m(4)
+    pi = [f.cls for f in ps.pi]
+    g = pi[0] + pi[2] + pi[4] + pi[6] - pi[3]
+    delta = big_diagonal(ring2, 1, 2)
+    push3, push4 = _push_pull(ring3, {2}), _push_pull(ring4, {1})
 
+    def triple(c: CycleClass) -> CycleClass:
+        pair = ring4.multiply(c, relabel(c, {2: 3}, ring4))
+        return push4(pair, relabel(c, {2: 4}, ring4))
 
-def involution_check() -> bool:
-    """The anti-invariant part composed through the small diagonal vanishes."""
-    return not involution_expansion(sign=-1, identify_triple=True)
+    return (push3(g, relabel(g, {1: 2, 2: 3}, ring3)) == delta
+            and relabel(g, {1: 2, 2: 1}, ring2) == g and triple(g) == triple(delta))

@@ -198,10 +198,10 @@ class CycleClass:
 def accumulate(out: dict, key, c: Rational) -> None:
     """Add c*key into a sparse term dict in place, dropping a coefficient that cancels.
 
-    The one add-and-drop rule for every exact sum: cycle classes, tensor
-    classes and involution words all accumulate through it.  A key not yet
-    in the dict stores c itself, or nothing when c == 0; a present key
-    takes the sum and is deleted when it cancels.
+    The one add-and-drop rule for every exact sum: cycle classes and tensor
+    classes both accumulate through it.  A key not yet in the dict stores c
+    itself, or nothing when c == 0; a present key takes the sum and is
+    deleted when it cancels.
     """
     s = out.get(key)
     if s is None:

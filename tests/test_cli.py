@@ -14,6 +14,8 @@ from chowtaut.correspond import CheckResult, CKReport, MCKReport
 from chowtaut.exprparse import MAX_DIGITS, int_str_limit
 from chowtaut.ring import RingParams, TautRing
 
+from test_correspond import sabotaged_sets
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -183,6 +185,14 @@ def test_verify_mck_by_params(capsys):
     assert len(cert["mck"]) == 343
     nonzero = [e for e in cert["mck"] if not e[3]]
     assert all(i + j == k for i, j, k, _ in nonzero)
+
+
+def test_verify_mck_involution_reads_the_projectors(capsys, monkeypatch):
+    # pi^0 scaled by 2 changes G, so the involution identities fail with CK
+    monkeypatch.setattr(cli, "ck_projectors", lambda p: sabotaged_sets()[0])
+    code, out, _ = run(capsys, "verify-mck", "--d", "2", "--b", "1")
+    assert code == 1
+    assert out.endswith('"involution": false, "passed": false}\n')
 
 
 def test_verify_mck_label(capsys):

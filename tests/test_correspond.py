@@ -11,7 +11,6 @@ from chowtaut.correspond import (
     big_diagonal,
     ck_projectors,
     involution_check,
-    involution_expansion,
     pushforward_forget,
     verify_ck,
     verify_mck,
@@ -191,8 +190,8 @@ class TestCompose:
 
     def test_pi2_pi4_orthogonal(self):
         ps = ck_projectors(params(d=3, b=1))
-        assert ps.pi[4].compose(ps.pi[2]).is_zero()  # pi^2 o pi^4
-        assert ps.pi[2].compose(ps.pi[4]).is_zero()  # pi^4 o pi^2
+        assert ps.pi[4].compose(ps.pi[2]).cls.is_zero()  # pi^2 o pi^4
+        assert ps.pi[2].compose(ps.pi[4]).cls.is_zero()  # pi^4 o pi^2
 
     def test_class_on_wrong_power_rejected(self):
         p = params()
@@ -361,7 +360,7 @@ class TestVerifyCK:
             ps = ck_projectors(params(d=rec.degree, b=rec.h12))
             calls.clear()
             verify_ck(ps)
-            nonzero = sum(not f.is_zero() for f in ps.pi)
+            nonzero = sum(not f.cls.is_zero() for f in ps.pi)
             assert len(calls) == nonzero ** 2 == 25, rec.label
             assert all(forget == {2} for forget in calls)
 
@@ -490,7 +489,7 @@ class TestVerifyMCK:
             seconds = [relabel(f, {2: 3}, r4) for f in firsts]
             expected = sum(1 for i, j, k in itertools.product(range(7), repeat=3)
                            if not r4.multiply(firsts[i], seconds[j]).is_zero()
-                           and not ps.pi[k].is_zero())
+                           and not ps.pi[k].cls.is_zero())
             assert len(calls) == expected == 65, rec.label
             assert all(forget == {1} for forget in calls)
 
@@ -531,20 +530,34 @@ class TestVerdicts:
 
 
 class TestInvolution:
-    def test_expansion_vanishes(self):
-        assert involution_check()
+    @pytest.mark.parametrize("d,b", [*((rec.degree, rec.h12) for rec in load_catalog()),
+                                     (2, 1), (2, 0)],
+                             ids=[*(rec.label for rec in load_catalog()), "2-1", "2-0"])
+    def test_holds_on_ck_projectors(self, d, b):
+        assert involution_check(ck_projectors(params(d=d, b=b)))
 
-    def test_dropping_identification_leaves_two_terms(self):
-        word = involution_expansion(sign=-1, identify_triple=False)
-        assert len(word) == 2
-        assert set(word.values()) == {Fraction(1, 8), Fraction(-1, 8)}
+    @pytest.mark.parametrize("n,want", [(0, False), (1, False), (2, False), (3, True)])
+    def test_reads_the_projectors(self, n, want):
+        # sets 0-2 change pi^0, pi^2 or pi^3; set 3 changes only pi^1 and pi^5,
+        # which G does not read
+        assert involution_check(sabotaged_sets()[n]) is want
 
-    def test_plus_projector_does_not_vanish(self):
-        assert involution_expansion(sign=1, identify_triple=True)
+    @pytest.mark.parametrize("d,b", [(2, 0), (2, 1), (3, 2)])
+    def test_anti_invariant_triple_vanishes_by_reference_calculus(self, d, b):
+        # G = Delta - 2 pi^3; ((Delta -+ G)/2)^{x3}_* Delta^sm by tensor and apply
+        p = params(d=d, b=b)
+        ps = ck_projectors(p)
+        delta = Correspondence(p, 1, 1, big_diagonal(TautRing(p), 1, 2))
+        g = Correspondence(p, 1, 1, delta.cls - ps.pi[3].cls.scale(2))
+        assert g.compose(g) == delta and g.transpose() == g
+        dsm = small_diagonal(TautRing(p).with_m(3))
 
-    def test_sign_other_than_one_rejected(self):
-        with pytest.raises(ValueError, match="sign must be"):
-            involution_expansion(sign=2)
+        def triple(sign):
+            half = Correspondence(p, 1, 1, (delta.cls + g.cls.scale(sign)).scale(Fraction(1, 2)))
+            return half.tensor(half).tensor(half).apply(dsm)
+
+        assert triple(-1).is_zero()
+        assert not triple(1).is_zero()
 
 
 # -- helpers ---------------------------------------------------------------

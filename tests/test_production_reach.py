@@ -61,15 +61,12 @@ ALLOWED = {
     "Correspondence.apply": f"{CALCULUS}; {TRACED}",
     "Correspondence._check_same_y": f"{CALCULUS}: compose and tensor check their partner",
     "Correspondence.transpose": CALCULUS,
-    "Correspondence.is_zero": CALCULUS,
-    "Correspondence.ring": CALCULUS,
     "MCKEntry.exempt": REPORT,
     "MCKReport.entry": REPORT,
     "TensorClass.__add__": f"{PROTOCOL}; {TRACED}",
     "CycleClass.codim": f"{PROTOCOL}: the grading, which is_homogeneous reads only "
                         "for a class of two or more terms",
     "Monomial.codim": f"{PROTOCOL}: the grading of one term, read by CycleClass.codim",
-    "CycleClass.__eq__": PROTOCOL,
     "CycleClass.__hash__": PROTOCOL,
     "CycleClass.__repr__": PROTOCOL,
     "TensorClass.__sub__": PROTOCOL,
