@@ -18,7 +18,7 @@ from .catalog import FanoRecord, catalog_get, load_catalog, serialize_catalog
 from .correspond import ProjectorSet, ck_projectors, involution_check, verify_ck, verify_mck
 from .exprparse import int_str_limit, parse_expr
 from .oracle import CohomologyModel, SubalgebraSpan, adjudicate_signs
-from .ring import RingParams, TautRing
+from .ring import RingParams, TautRing, symplectic_invariant_counts
 
 ENGINE = f"chowtaut {__version__}"
 # the adjudicated signs every certificate prints
@@ -121,8 +121,11 @@ def cmd_oracle_compare(args) -> int:
     max_c = 3 * p.m if args.max_codim is None else min(args.max_codim, 3 * p.m)
     model_dims = [span.dimension(c) for c in range(max_c + 1)]
     rows = [[c, ring_dims[c], n, ring_dims[c] == n] for c, n in enumerate(model_dims)]
+    # r(s) of each block the span computed, next to I_b(s/2), the closed form's count
+    invariants = symplectic_invariant_counts(p.b, max(span.ranks) // 2)
     cert = {"engine": ENGINE, "params": {"d": p.d, "b": p.b, "m": p.m},
-            "signs": SIGNS, "rows": rows}
+            "signs": SIGNS, "rows": rows,
+            "ranks": [[s, r, invariants[s // 2]] for s, r in sorted(span.ranks.items())]}
     return _emit(cert, bool(rows) and all(row[3] for row in rows))
 
 

@@ -96,7 +96,14 @@ class SparseRowBasis:
         return len(self.pivots)
 
     def residual(self, vec: dict) -> dict:
-        """Reduce vec against the stored pivots; returns an integer row."""
+        """Reduce vec against the stored pivots; returns an integer row.
+
+        The row is updated in place, on the pivot's keys only.  A step with
+        pivot lead a and row lead b subtracts fb * pivot after scaling the row
+        by fa, for (fa, fb) = (a, b) / gcd(a, b).  Only a step with fa != 1
+        scales, so only it divides out the row's content; :meth:`add`
+        divides out what is left when it stores the row.
+        """
         row = _to_int_row(vec)
         while row:
             lead = min(row)
@@ -106,24 +113,34 @@ class SparseRowBasis:
             a, b = piv[lead], row[lead]
             g = gcd(a, b)
             fa, fb = a // g, b // g
-            new = {}
-            for k in set(row) | set(piv):
-                v = fa * row.get(k, 0) - fb * piv.get(k, 0)
+            if fa != 1:
+                for k in row:
+                    row[k] *= fa
+            for k, v in piv.items():
+                v = row.get(k, 0) - fb * v
                 if v:
-                    new[k] = v
-            g = gcd(*new.values())
-            if g > 1:
-                new = {k: v // g for k, v in new.items()}
-            row = new
+                    row[k] = v
+                else:
+                    del row[k]
+            if fa != 1 and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for k in row:
+                        row[k] //= g
         return row
 
     def add(self, vec: dict) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.
+
+        The pivot is stored primitive, with a positive lead, in a fresh dict
+        that does not keep the room the residual's updates took.
+        """
         row = self.residual(vec)
         if not row:
             return False
         lead = min(row)
+        g = gcd(*row.values())
         if row[lead] < 0:
-            row = {k: -v for k, v in row.items()}
-        self.pivots[lead] = row
+            g = -g
+        self.pivots[lead] = {k: v // g for k, v in row.items()}
         return True

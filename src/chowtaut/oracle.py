@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import Frozen, Rational, SparseRowBasis, exact, require_ints
-from .ring import (Monomial, _pair, accumulate, check_codim, check_index, perfect_matchings,
-                   slot_weight_count)
+from .ring import _pair, accumulate, check_codim, check_index, slot_weight_count
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -168,10 +167,6 @@ class TensorClass:
         return f"TensorClass(m={self.m}, {len(self.terms)} terms)"
 
 
-def tensor_unit(model: CohomologyModel, m: int) -> TensorClass:
-    return TensorClass(model, m, {(E0,) * m: 1})
-
-
 def _multiply_into(out: dict[tuple[int, ...], Rational], x_terms: dict, y_items: Iterable,
                    table: tuple) -> dict[tuple[int, ...], Rational]:
     """Add the Koszul-signed products of the terms of x and y into out, and return it.
@@ -254,17 +249,6 @@ def realize(gen, model: CohomologyModel, m: int) -> TensorClass:
     return TensorClass(model, m, terms)
 
 
-def realize_monomial(mon, model: CohomologyModel, m: int) -> TensorClass:
-    """g_n * ... * g_1 for the generators g_1..g_n of mon, each multiplied in from the left."""
-    gens = mon.generators()
-    if not gens:
-        return tensor_unit(model, m)
-    acc = realize(gens[0], model, m)
-    for g in gens[1:]:
-        acc = tensor_multiply(realize(g, model, m), acc)
-    return acc
-
-
 # -- sign adjudication ------------------------------------------------------
 
 
@@ -286,6 +270,11 @@ def _sign(lhs: TensorClass, rhs: TensorClass, message: str) -> int:
     raise ValueError(message)
 
 
+def _padded(terms: dict[tuple[int, ...], Rational], j: int) -> Iterator:
+    """The items of terms on Y^(k-2), each key moved to Y^k by E0 at slots 1 and j."""
+    return (((E0,) + v[:j - 2] + (E0,) + v[j - 2:], c) for v, c in terms.items())
+
+
 def tau_matching_sum(model: CohomologyModel, n: int) -> TensorClass:
     """Sum over the perfect matchings M of 1..n of prod_{(i,j) in M} tau_{i,j}, on Y^n.
 
@@ -304,8 +293,8 @@ def tau_matching_sum(model: CohomologyModel, n: int) -> TensorClass:
     for k in range(2, n + 1, 2):
         prev, level = level, {}
         for j in range(2, k + 1):
-            pad = (((E0,) + v[:j - 2] + (E0,) + v[j - 2:], c) for v, c in prev.items())
-            _multiply_into(level, realize(("tau", 1, j), model, k).terms, pad, model.table)
+            _multiply_into(level, realize(("tau", 1, j), model, k).terms, _padded(prev, j),
+                           model.table)
     return TensorClass(model, n, level)
 
 
@@ -340,6 +329,31 @@ def adjudicate_signs(model: CohomologyModel) -> AdjudicationReport:
 # -- generated subalgebra ---------------------------------------------------
 
 
+def matching_rows(model: CohomologyModel, s: int) -> Iterator[dict[tuple[int, ...], Rational]]:
+    """Yield, as a term dict on Y^s, the product of tau over each perfect matching of 1..s.
+
+    Built in s/2 levels as :func:`tau_matching_sum` builds their sum: the rows
+    on Y^k are tau_{1,j} * pad_j(x) for j = 2..k and each row x on Y^(k-2), one
+    kernel call each, from the empty matching's row on Y^0.  Lazy: tau_{1,j} is
+    realized once, when its first row is asked for, and the rows one level
+    down are kept as they are first consumed, so the first row costs s/2
+    realized generators.  An odd or negative s raises ValueError.
+    """
+    if s < 0 or s % 2:
+        raise ValueError(f"{s} slots admit no perfect matching")
+    if not s:
+        yield {(): 1}
+        return
+    below, kept = matching_rows(model, s - 2), []
+    for j in range(2, s + 1):
+        tau = realize(("tau", 1, j), model, s).terms
+        for x in below:
+            if j == 2:
+                kept.append(x)
+            yield _multiply_into({}, tau, _padded(x, j), model.table)
+        below = kept
+
+
 class SubalgebraSpan:
     """Graded span of the subalgebra of H*(Y^m) generated by the realized classes.
 
@@ -365,14 +379,15 @@ class SubalgebraSpan:
       slots times a matching on the degree-3 ones, and since o at those slots
       is one fixed even tensor factor, the block's rank is r(s).
 
-    Ranks are memoized on the instance and computed only for blocks that occur
-    in a requested codim.  README.md, "The tensor model", has the argument.
+    Ranks are memoized in ``ranks`` (s -> r(s)) and computed only for blocks
+    that occur in a requested codim.  README.md, "The tensor model", has the
+    argument.
     """
 
     def __init__(self, model: CohomologyModel, m: int):
         self.model = model
         self.m = m
-        self._ranks: dict[int, int] = {}
+        self.ranks: dict[int, int] = {}
 
     def dimension(self, c: int) -> int:
         m = self.m
@@ -386,13 +401,12 @@ class SubalgebraSpan:
 
     def _rank(self, s: int) -> int:
         """r(s), stopping once it reaches (2b)^s, the dimension of H^3(Y)^(x)s."""
-        if s not in self._ranks:
-            model = self.model
+        if s not in self.ranks:
             rows = SparseRowBasis()
-            full = (2 * model.b) ** s
-            for matching in perfect_matchings(range(1, s + 1)):
-                rows.add(realize_monomial(Monomial(tau=tuple(matching)), model, s).terms)
+            full = (2 * self.model.b) ** s
+            for row in matching_rows(self.model, s):
+                rows.add(row)
                 if rows.rank == full:
                     break
-            self._ranks[s] = rows.rank
-        return self._ranks[s]
+            self.ranks[s] = rows.rank
+        return self.ranks[s]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .linalg import Frozen, Rational, exact, require_ints
 
@@ -77,15 +77,6 @@ class Monomial(NamedTuple):
     def indices(self) -> list[int]:
         """Every factor index used, once per occurrence (h, then o, then tau)."""
         return [i for i, _ in self.h] + list(self.o) + [x for pr in self.tau for x in pr]
-
-    def generators(self) -> list[Gen]:
-        """Expand back into a raw generator list (h repeated per exponent)."""
-        raw: list[Gen] = []
-        for i, e in self.h:
-            raw.extend(("h", i) for _ in range(e))
-        raw.extend(("o", i) for i in self.o)
-        raw.extend(("tau", i, j) for i, j in self.tau)
-        return raw
 
     def __str__(self) -> str:
         if not (self.h or self.o or self.tau):
@@ -376,10 +367,12 @@ class TautRing:
         for i in S:
             check_index(i, self.p.m)
         mult = 2 ** (self.p.b + 1) * math.factorial(self.p.b + 1)
-        # Distinct matchings are distinct monomials, so no two terms merge.
+        # A perfect matching of S is n/2 disjoint sorted pairs, listed in order;
+        # distinct matchings are distinct monomials, so no two terms merge.
         return CycleClass({
-            Monomial(tau=tuple(sorted(_pair(i, j) for i, j in matching))): mult
-            for matching in perfect_matchings(S)
+            Monomial(tau=matching): mult
+            for matching in itertools.combinations(itertools.combinations(S, 2), n // 2)
+            if len({i for pair in matching for i in pair}) == n
         })
 
     # -- graded pieces ---------------------------------------------------
@@ -402,8 +395,9 @@ class TautRing:
                 rest = [i for i in range(1, m + 1) if i not in support]
                 parts = [(tuple((i, w) for i, w in zip(rest, ws) if w in (1, 2)),
                           tuple(i for i, w in zip(rest, ws) if w == 3)) for ws in weights]
-                for matching in perfect_matchings(support):
-                    out.extend(Monomial(h=h, o=o, tau=tuple(matching)) for h, o in parts)
+                for matching in itertools.combinations(itertools.combinations(support, 2), q):
+                    if len({i for pair in matching for i in pair}) == 2 * q:
+                        out.extend(Monomial(h=h, o=o, tau=matching) for h, o in parts)
         out.sort()
         return out
 
@@ -504,21 +498,6 @@ def relabel(a: CycleClass, mapping: dict[int, int], target: TautRing) -> CycleCl
 # -- combinatorial helpers -------------------------------------------------
 
 
-def perfect_matchings(items: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
-    """All perfect matchings of an even-sized sequence of distinct items."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    if len(items) % 2:
-        raise ValueError("perfect matchings need an even number of items")
-    first, rest = items[0], items[1:]
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        for sub in perfect_matchings(remaining):
-            yield [(first, partner)] + sub
-
-
 def slot_weight_count(n: int, k: int) -> int:
     """[x^k](1+x+x^2+x^3)^n: the ways to give n factors weights in {0,1,2,3} summing to k.
 
@@ -529,8 +508,11 @@ def slot_weight_count(n: int, k: int) -> int:
         return 0
     if n == 0:
         return 1
-    return sum((-1) ** j * math.comb(n, j) * math.comb(k - 4 * j + n - 1, n - 1)
-               for j in range(k // 4 + 1))
+    total, sign = 0, 1
+    for j in range(k // 4 + 1):
+        total += sign * math.comb(n, j) * math.comb(k - 4 * j + n - 1, n - 1)
+        sign = -sign
+    return total
 
 
 def symplectic_invariant_counts(b: int, pmax: int) -> list[int]:

@@ -6,7 +6,8 @@ the ring helpers that only the tests use.
 rule applications ``rng`` picks, which tests confluence of the rewriting system.
 
 ``normal_form`` (a generator word through ``TautRing.product``), ``integrate``
-(the degree map) and ``small_diagonal`` (Delta^sm on Y^3) build test inputs and
+(the degree map), ``small_diagonal`` (Delta^sm on Y^3), ``generator_word`` (a
+monomial back to its word) and ``perfect_matchings`` build test inputs and
 read test outputs; no command needs them, so they live here and not in
 ``chowtaut``.
 
@@ -17,7 +18,7 @@ the ring.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from chowtaut.linalg import Rational, exact
 from chowtaut.correspond import big_diagonal
@@ -39,6 +40,31 @@ def normal_form(ring: TautRing, raw: Iterable[Gen], coeff: Rational = 1) -> Cycl
             raise ValueError(f"unknown generator kind {g!r}")
         factors.append(makers[g[0]](*g[1:]))
     return ring.product(factors).scale(coeff)
+
+
+def generator_word(mon: Monomial) -> list[Gen]:
+    """Expand a monomial back into a raw generator list (h repeated per exponent)."""
+    raw: list[Gen] = []
+    for i, e in mon.h:
+        raw.extend(("h", i) for _ in range(e))
+    raw.extend(("o", i) for i in mon.o)
+    raw.extend(("tau", i, j) for i, j in mon.tau)
+    return raw
+
+
+def perfect_matchings(items: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
+    """All perfect matchings of an even-sized sequence of distinct items."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    if len(items) % 2:
+        raise ValueError("perfect matchings need an even number of items")
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        remaining = rest[:k] + rest[k + 1:]
+        for sub in perfect_matchings(remaining):
+            yield [(first, partner)] + sub
 
 
 def integrate(ring: TautRing, a: CycleClass) -> Rational:

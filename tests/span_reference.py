@@ -4,13 +4,31 @@
 every generator times every kept class, each product formed and offered to the
 basis.  It keeps a basis, so it can also answer ``contains``.
 ``chowtaut.oracle`` computes only dimensions, by slot-degree blocks; this span
-is its reference.
+is its reference.  ``tensor_unit`` and ``realize_monomial`` carry ring
+classes into the model for the tests.
 """
 
 import itertools
 
 from chowtaut.linalg import SparseRowBasis
-from chowtaut.oracle import realize, tensor_multiply, tensor_unit
+from chowtaut.oracle import E0, TensorClass, realize, tensor_multiply
+
+from ring_reference import generator_word
+
+
+def tensor_unit(model, m):
+    return TensorClass(model, m, {(E0,) * m: 1})
+
+
+def realize_monomial(mon, model, m):
+    """g_n * ... * g_1 for the generators g_1..g_n of mon, each multiplied in from the left."""
+    gens = generator_word(mon)
+    if not gens:
+        return tensor_unit(model, m)
+    acc = realize(gens[0], model, m)
+    for g in gens[1:]:
+        acc = tensor_multiply(realize(g, model, m), acc)
+    return acc
 
 
 def generators(m):

@@ -276,7 +276,18 @@ def test_oracle_compare_certificate_layout(capsys):
     assert code == 0
     assert out == (HEAD % (cli.ENGINE, '"m": 2') + '"rows": [[0, 1, 1, true], [1, 2, 2, true], '
                    '[2, 3, 3, true], [3, 5, 5, true], [4, 3, 3, true], [5, 2, 2, true], '
-                   '[6, 1, 1, true]], "passed": true}\n')
+                   '[6, 1, 1, true]], "ranks": [[0, 1, 1], [2, 1, 1]], "passed": true}\n')
+
+
+@pytest.mark.parametrize("argv, ranks", [
+    (["--b", "1", "--m", "5"], [[0, 1, 1], [2, 1, 1], [4, 2, 2]]),
+    (["--b", "1", "--m", "12", "--max-codim", "4"], [[0, 1, 1], [2, 1, 1]]),
+], ids=["all-blocks", "max-codim"])
+def test_oracle_compare_ranks(capsys, argv, ranks):
+    # [s, r(s), I_b(s/2)] for exactly the blocks the span computed
+    code, out, _ = run(capsys, "oracle-compare", *argv)
+    assert code == 0
+    assert json.loads(out)["ranks"] == ranks
 
 
 @pytest.mark.parametrize("extra, tail", [

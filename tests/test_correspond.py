@@ -19,7 +19,6 @@ from chowtaut.oracle import (
     CohomologyModel,
     TensorClass,
     realize,
-    realize_monomial,
     tensor_multiply,
 )
 from chowtaut import correspond
@@ -27,6 +26,7 @@ from chowtaut.catalog import load_catalog
 from chowtaut.ring import CycleClass, RingParams, TautRing, relabel
 
 from ring_reference import PaperSigns, integrate, normal_form, small_diagonal
+from span_reference import realize_monomial
 
 
 def params(d=2, b=1, m=2):

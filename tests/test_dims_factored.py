@@ -11,12 +11,11 @@ from chowtaut.oracle import CohomologyModel, SubalgebraSpan
 from chowtaut.ring import (
     RingParams,
     TautRing,
-    perfect_matchings,
     slot_weight_count,
     symplectic_invariant_counts,
 )
 
-from ring_reference import PaperSigns
+from ring_reference import PaperSigns, perfect_matchings
 
 SIGNS = {"adjudicated": RingParams, "paper": PaperSigns}
 
@@ -64,6 +63,15 @@ def test_slot_weight_count_matches_enumeration(n):
     counts = [sum(ws) for ws in itertools.product(range(4), repeat=n)]
     for k in range(-1, 3 * n + 2):
         assert slot_weight_count(n, k) == counts.count(k), (n, k)
+
+
+def test_slot_weight_count_is_the_expanded_polynomial():
+    # the coefficients of (1+x+x^2+x^3)^n, expanded by repeated multiplication
+    coeffs = [1]
+    for n in range(21):
+        assert [slot_weight_count(n, k) for k in range(-1, 3 * n + 2)] == [0, *coeffs, 0], n
+        coeffs = [sum(coeffs[k - w] for w in range(4) if 0 <= k - w < len(coeffs))
+                  for k in range(len(coeffs) + 3)]
 
 
 def test_slot_weight_count_is_the_multinomial_block_sum():

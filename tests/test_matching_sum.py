@@ -12,9 +12,11 @@ from chowtaut.oracle import (
     realize,
     tau_matching_sum,
     tensor_multiply,
-    tensor_unit,
 )
-from chowtaut.ring import accumulate, perfect_matchings
+from chowtaut.ring import accumulate
+
+from ring_reference import perfect_matchings
+from span_reference import tensor_unit
 
 
 def first_slot_recursion(model, n):

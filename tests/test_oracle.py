@@ -15,14 +15,12 @@ from chowtaut.oracle import (
     _sign,
     adjudicate_signs,
     realize,
-    realize_monomial,
     tensor_multiply,
-    tensor_unit,
 )
 from chowtaut.ring import CycleClass, RingParams, TautRing
 
 from ring_reference import normal_form
-from span_reference import AllProductsSpan
+from span_reference import AllProductsSpan, realize_monomial, tensor_unit
 
 
 def model(d=2, b=1):
@@ -365,7 +363,7 @@ class TestLinalg:
         assert basis.residual({0: 1, 2: 1, 3: 1})
 
     def test_reduction_step_divides_out_the_content(self):
-        # (1, 3) - (1, 1) leaves (0, 2): the step's common factor 2 is divided out
+        # (1, 3) - (1, 1) leaves (0, 2): its content 2 is divided out when it is stored
         basis = SparseRowBasis()
         assert basis.add({0: 1, 1: 1})
         assert basis.add({0: 1, 1: 3})

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from chowtaut.linalg import SparseRowBasis
-from chowtaut.oracle import CohomologyModel, tensor_multiply, tensor_unit
+from chowtaut.oracle import CohomologyModel, tensor_multiply
 
-from span_reference import AllProductsSpan
+from span_reference import AllProductsSpan, tensor_unit
 
 
 def monomial_rows(span):
