@@ -116,11 +116,10 @@ def cmd_oracle_compare(args) -> int:
     if args.max_codim is not None and args.max_codim < 0:
         raise CliError("--max-codim must be non-negative")
     p = RingParams(args.d, args.b, args.m)
-    ring_dims = TautRing(p).graded_dimensions()
-    span = SubalgebraSpan(CohomologyModel(p.d, p.b), p.m)
+    ring, span = TautRing(p), SubalgebraSpan(CohomologyModel(p.d, p.b), p.m)
     max_c = 3 * p.m if args.max_codim is None else min(args.max_codim, 3 * p.m)
-    model_dims = [span.dimension(c) for c in range(max_c + 1)]
-    rows = [[c, ring_dims[c], n, ring_dims[c] == n] for c, n in enumerate(model_dims)]
+    dims = [(ring.graded_dimension(c), span.dimension(c)) for c in range(max_c + 1)]
+    rows = [[c, g, n, g == n] for c, (g, n) in enumerate(dims)]
     # r(s) of each block the span computed, next to I_b(s/2), the closed form's count
     invariants = symplectic_invariant_counts(p.b, max(span.ranks) // 2)
     cert = {"engine": ENGINE, "params": {"d": p.d, "b": p.b, "m": p.m},

@@ -19,12 +19,11 @@ remains, and never a float.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import Frozen, Rational, SparseRowBasis, exact, require_ints
-from .ring import _pair, accumulate, check_codim, check_index, slot_weight_count
+from .ring import _pair, accumulate, check_codim, check_index, slot_block_sum
 
 # basis element ids: 0..3 even (e0, e2, e4, e6); 4.. odd (f_0, f_1, ...)
 E0, E2, E4, E6 = 0, 1, 2, 3
@@ -334,24 +333,20 @@ def matching_rows(model: CohomologyModel, s: int) -> Iterator[dict[tuple[int, ..
 
     Built in s/2 levels as :func:`tau_matching_sum` builds their sum: the rows
     on Y^k are tau_{1,j} * pad_j(x) for j = 2..k and each row x on Y^(k-2), one
-    kernel call each, from the empty matching's row on Y^0.  Lazy: tau_{1,j} is
-    realized once, when its first row is asked for, and the rows one level
-    down are kept as they are first consumed, so the first row costs s/2
-    realized generators.  An odd or negative s raises ValueError.
+    kernel call each, from the empty matching's row on Y^0.  Each tau_{1,j} is
+    realized once per level.  The levels below s are built whole, and the top one
+    is yielded row by row, never held at once.  An odd or negative s raises ValueError.
     """
     if s < 0 or s % 2:
         raise ValueError(f"{s} slots admit no perfect matching")
     if not s:
         yield {(): 1}
         return
-    below, kept = matching_rows(model, s - 2), []
+    below = list(matching_rows(model, s - 2))
     for j in range(2, s + 1):
         tau = realize(("tau", 1, j), model, s).terms
         for x in below:
-            if j == 2:
-                kept.append(x)
             yield _multiply_into({}, tau, _padded(x, j), model.table)
-        below = kept
 
 
 class SubalgebraSpan:
@@ -361,8 +356,8 @@ class SubalgebraSpan:
     * r(n3), where r(s) is the rank on Y^s of the products of tau over the perfect
     matchings of 1..s.  This is the sum of multinomial(m; n0, n2, n4, n3, n6) * r(n3)
     over the slot-degree counts with 2 n2 + 4 n4 + 3 n3 + 6 n6 = 2c, the n3 slots
-    chosen first and the others given codim weights 0, 1, 2, 3
-    (:func:`slot_weight_count`).  It is exact:
+    chosen first and the others given codim weights 0, 1, 2, 3: the closed form's
+    :func:`slot_block_sum` with count(q) = r(2q).  It is exact:
 
     - every generator is multi-homogeneous in the slot degrees, so codim c is
       the direct sum of its slot-degree blocks;
@@ -390,23 +385,15 @@ class SubalgebraSpan:
         self.ranks: dict[int, int] = {}
 
     def dimension(self, c: int) -> int:
-        m = self.m
-        check_codim(c, m)
-        total = 0
-        for n3 in range(0, m + 1, 2):
-            weight = math.comb(m, n3) * slot_weight_count(m - n3, c - 3 * n3 // 2)
-            if weight:
-                total += weight * self._rank(n3)
-        return total
+        check_codim(c, self.m)
+        return slot_block_sum(self.m, c, lambda q: self._rank(2 * q))
 
     def _rank(self, s: int) -> int:
-        """r(s), stopping once it reaches (2b)^s, the dimension of H^3(Y)^(x)s."""
+        """r(s), from every matching row; at b = 0 < s, H^3(Y)^(x)s is 0 and no row is drawn."""
         if s not in self.ranks:
             rows = SparseRowBasis()
-            full = (2 * self.model.b) ** s
-            for row in matching_rows(self.model, s):
-                rows.add(row)
-                if rows.rank == full:
-                    break
+            if self.model.b or not s:
+                for row in matching_rows(self.model, s):
+                    rows.add(row)
             self.ranks[s] = rows.rank
         return self.ranks[s]

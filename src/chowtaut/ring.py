@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 from .linalg import Frozen, Rational, exact, require_ints
 
@@ -423,14 +423,13 @@ class TautRing:
         """Dimension of the codim-c piece of the quotient by the relator ideal.
 
         The coefficient of x^c in the Hilbert series of :meth:`graded_dimensions`,
-        taken term by term with :func:`slot_weight_count`, so only I_b(p) for
+        taken term by term with :func:`slot_block_sum`, so only I_b(p) for
         3p <= c is counted.
         """
         m = self.p.m
         check_codim(c, m)
         invariants = symplectic_invariant_counts(self.p.b, min(m // 2, c // 3))
-        return sum(math.comb(m, 2 * q) * count * slot_weight_count(m - 2 * q, c - 3 * q)
-                   for q, count in enumerate(invariants))
+        return slot_block_sum(m, c, invariants.__getitem__)
 
     def graded_dimensions(self) -> list[int]:
         """Dimensions of R^c(Y^m) for c = 0..3m, from the Hilbert series
@@ -512,6 +511,20 @@ def slot_weight_count(n: int, k: int) -> int:
     for j in range(k // 4 + 1):
         total += sign * math.comb(n, j) * math.comb(k - 4 * j + n - 1, n - 1)
         sign = -sign
+    return total
+
+
+def slot_block_sum(m: int, c: int, count: Callable[[int], int]) -> int:
+    """sum_q C(m,2q) * [x^(c-3q)](1+x+x^2+x^3)^(m-2q) * count(q), over q <= m/2, c/3.
+
+    The codim-c sum over slot blocks with 2q factors of degree 3 that both sides
+    of oracle-compare take; count(q) is called only where the weight is nonzero.
+    """
+    total = 0
+    for q in range(min(m // 2, c // 3) + 1):
+        weight = math.comb(m, 2 * q) * slot_weight_count(m - 2 * q, c - 3 * q)
+        if weight:
+            total += weight * count(q)
     return total
 
 

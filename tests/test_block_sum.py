@@ -57,9 +57,9 @@ def brute_multigraphs(degrees):
 
 
 def block_rank(model, s, u, fill):
-    """The rank of block (s, u) on Y^(s+u) from every monomial in it, with no early
-    stop: each of the u degree-6 slots carries two tau ends or none, and then
-    ``fill`` (a list of generator kinds)."""
+    """The rank of block (s, u) on Y^(s+u) from every monomial in it: each of the
+    u degree-6 slots carries two tau ends or none, and then ``fill`` (a list of
+    generator kinds)."""
     n = s + u
     rows = SparseRowBasis()
     for k in range(u + 1):
@@ -124,9 +124,9 @@ def test_builds_only_blocks_of_the_requested_codim(monkeypatch):
     assert powers and max(powers) <= 2
 
 
-def test_rank_stops_at_full_rank_at_b0(monkeypatch):
-    # At b = 0 the block is (2b)^s = 0 dimensional: the first matching, six taus,
-    # already reaches it, and none of the other 10,394 matchings is realized.
+def test_rank_at_b0_realizes_nothing(monkeypatch):
+    # At b = 0, H^3(Y) is 0: r(12) is 0 without realizing any of the 10,395
+    # matchings, and r(0) is the unit's 1
     calls = []
 
     def recording(gen, model, m):
@@ -134,8 +134,10 @@ def test_rank_stops_at_full_rank_at_b0(monkeypatch):
         return realize(gen, model, m)
 
     monkeypatch.setattr(oracle, "realize", recording)
-    assert SubalgebraSpan(CohomologyModel(2, 0), 12)._rank(12) == 0
-    assert 0 < len(calls) <= 6
+    span = SubalgebraSpan(CohomologyModel(2, 0), 12)
+    assert span._rank(12) == 0
+    assert calls == []
+    assert span._rank(0) == 1
 
 
 def test_codim_out_of_range():

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from chowtaut import cli
+from chowtaut import cli, ring
 from chowtaut.cli import main
 from chowtaut.correspond import CheckResult, CKReport, MCKReport
 from chowtaut.exprparse import MAX_DIGITS, int_str_limit
@@ -288,6 +288,29 @@ def test_oracle_compare_ranks(capsys, argv, ranks):
     code, out, _ = run(capsys, "oracle-compare", *argv)
     assert code == 0
     assert json.loads(out)["ranks"] == ranks
+
+
+def test_oracle_compare_max_codim_bounds_the_ring_side(capsys, monkeypatch):
+    # rows are read codim by codim on both sides: no Horner vector, and no
+    # I_b(p) past p = 2 for codims up to 6, even at m = 400
+    def no_vector(self):
+        raise AssertionError("graded_dimensions called")
+
+    pmaxes = []
+
+    def recording(b, pmax):
+        pmaxes.append(pmax)
+        return counts(b, pmax)
+
+    counts = ring.symplectic_invariant_counts
+    monkeypatch.setattr(TautRing, "graded_dimensions", no_vector)
+    monkeypatch.setattr(ring, "symplectic_invariant_counts", recording)
+    monkeypatch.setattr(cli, "symplectic_invariant_counts", recording)
+    code, out, _ = run(capsys, "oracle-compare", "--b", "3", "--m", "400", "--max-codim", "6")
+    assert code == 0
+    assert pmaxes and max(pmaxes) <= 2
+    dims = [TautRing(RingParams(2, 3, 400)).graded_dimension(c) for c in range(7)]
+    assert json.loads(out)["rows"] == [[c, g, g, True] for c, g in enumerate(dims)]
 
 
 @pytest.mark.parametrize("extra, tail", [

@@ -11,6 +11,7 @@ from chowtaut.oracle import CohomologyModel, SubalgebraSpan
 from chowtaut.ring import (
     RingParams,
     TautRing,
+    slot_block_sum,
     slot_weight_count,
     symplectic_invariant_counts,
 )
@@ -76,9 +77,15 @@ def test_slot_weight_count_is_the_expanded_polynomial():
 
 def test_slot_weight_count_is_the_multinomial_block_sum():
     """C(m, n3) * [x^k](1+x+x^2+x^3)^(m-n3) is the sum of multinomial(m; n0, n2,
-    n4, n3, n6) over n2 + 2 n4 + 3 n6 = k, the weight of the tensor-model blocks."""
+    n4, n3, n6) over n2 + 2 n4 + 3 n6 = k, the weight of the tensor-model blocks,
+    and slot_block_sum weighs a per-block count with it."""
     f = math.factorial
+
+    def count(q):
+        return 7 ** q + q
+
     for m in range(13):
+        weights = {}
         for n3 in range(0, m + 1, 2):
             for k in range(-1, 3 * (m - n3) + 2):
                 weight = 0
@@ -89,6 +96,15 @@ def test_slot_weight_count_is_the_multinomial_block_sum():
                         if n2 >= 0 and n0 >= 0:
                             weight += f(m) // (f(n0) * f(n2) * f(n4) * f(n3) * f(n6))
                 assert math.comb(m, n3) * slot_weight_count(m - n3, k) == weight, (m, n3, k)
+                weights[n3, k] = weight
+        for c in range(3 * m + 1):
+            want = sum(weights.get((n3, c - 3 * n3 // 2), 0) * count(n3 // 2)
+                       for n3 in range(0, m + 1, 2))
+            assert slot_block_sum(m, c, count) == want, (m, c)
+        # in the top codim every factor has degree 6: no block of degree-3 factors
+        asked = []
+        assert slot_block_sum(m, 3 * m, lambda q: asked.append(q) or count(q)) == 1
+        assert asked == [0], m
 
 
 def test_invariant_counts_known_values():
